@@ -56,6 +56,17 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True,
+             "false": False, "no": False, "0": False}
+
+
+def _config_bool(val) -> bool:
+    try:
+        return _BOOLEANS[str(val).strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected true/false/yes/no/1/0, got {val!r}") from None
+
+
 def canonical_config(cfg: dict) -> list[str]:
     lines = [f"hypflow {__version__}"]
     for k in sorted(cfg):
@@ -297,8 +308,7 @@ def cmd_simulate(args) -> int:
         xi0=float(target.xi0[0]), x0=float(target.x0[0]),
         e_vec=target.e_vec if target.e_vec is not None else (1.0, 0.0),
         phi_traj_vec=target.phi_traj_vec, control=control,
-        filter_strength=args.filter_strength, seed=args.seed,
-        length=args.length,
+        filter_strength=args.filter_strength, length=args.length,
         dump_dir=_out_path(args, "states") if args.dump_states and args.out else None)
     cfg_dict = {"example": args.example, "state": args.state, "control": control,
                 "eps_ladder": args.eps_ladder, "K": params.K, "alpha": params.alpha,
@@ -399,6 +409,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _explicit_dests(argv) -> set[str]:
+    """Destinations given on the command line, however spelled: `argv`
+    parsed again with every default suppressed."""
+    parser = build_parser()
+    parsers = [parser]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers += action.choices.values()
+    for p in parsers:
+        for action in p._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -408,11 +432,13 @@ def main(argv=None) -> int:
         except (OSError, ConfigError, json.JSONDecodeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
+        explicit = _explicit_dests(argv)
         for key, val in cfg.items():
             attr = key.split(".")[-1].replace("-", "_")
-            if hasattr(args, attr) and f"--{key.split('.')[-1]}" not in (argv or sys.argv):
+            if hasattr(args, attr) and attr not in explicit:
                 cur = getattr(args, attr)
-                caster = type(cur) if cur is not None else str
+                caster = _config_bool if isinstance(cur, bool) else \
+                    type(cur) if cur is not None else str
                 try:
                     setattr(args, attr, caster(val))
                 except (TypeError, ValueError) as exc:

@@ -1,11 +1,12 @@
 """1D periodic pseudospectral solver and the wave-packet instability experiment.
 
-RK4 in time, spectral derivatives, 2/3-rule dealiasing, an exponential filter
-whose strength is recorded in every report, and breakdown detection (L-infinity
-cap, unresolved-gradient proxy, NaN).  On top of it: the linearized evolution in
-the rescaled frame, the Hoelder-ratio measurement on shrinking balls, the
-ladder experiment, and the free-solution comparison against the quantized
-symbolic flow.
+One fixed-step RK4 loop drives both spectral solvers: the nonlinear evolution
+(2/3-rule dealiasing, breakdown detection by L-infinity cap, unresolved-gradient
+proxy and NaN) and the linearized evolution in the rescaled frame (stopped on
+NaN).  The loop applies the exponential filter, whose strength is recorded in
+every report, after each step.  On top of it: the Hoelder-ratio measurement on
+shrinking balls, the ladder experiment, and the free-solution comparison
+against the quantized symbolic flow.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from scipy.interpolate import CubicSpline
 from .classifier import PERSISTENT, INDETERMINATE
 from .semiclassical import (Grid1D, GridFunction, WavePacketSpec,
                             build_wavepacket, sobolev_norm)
+from .symbolic_flow import _rk4
 from .system_model import SystemSpec
 
 
@@ -38,13 +40,11 @@ class SolverConfig:
     t_final: float
     max_speed: float
     length: float = 2.0 * np.pi
-    dealias: bool = True
     filter_order: int = 8
     filter_strength: float = 36.0
     linf_cap: float = np.inf
     tail_cap: float = 0.1
     sample_count: int = 60
-    check_every: int = 1   # breakdown-time quantization enters the reported sup
 
     def __post_init__(self):
         if self.dt * self.max_speed * self.n / self.length > 0.5 + 1e-12:
@@ -66,32 +66,24 @@ class Trajectory:
     states: np.ndarray          # (m, N, n)
     breakdown: Optional[BreakdownInfo] = None
 
-    def state(self, k: int) -> GridFunction:
-        return GridFunction(self.grid, self.states[k].T)
-
     @property
     def final(self) -> np.ndarray:
         return self.states[-1]
 
 
-def _rfft_k(n: int, length: float) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
-
-
-def _filter_mask(n: int, length: float, strength: float, order: int,
+def _filter_mask(k: np.ndarray, strength: float, order: int,
                  dt: float) -> np.ndarray:
-    """Per-step multiplier of the exponential filter.
+    """Per-step multiplier of the exponential filter at wavenumbers `k`.
 
     `strength` is a damping rate per unit time at the top mode, so the total
     dissipation depends on elapsed time, not on the step count: refining dt
     leaves the filtered dynamics unchanged.
     """
-    k = _rfft_k(n, length)
     kmax = np.max(np.abs(k))
     return np.exp(-strength * dt * (np.abs(k) / kmax) ** (2 * order))
 
 
-def _dealias_mask(n: int, length: float) -> np.ndarray:
+def _dealias_mask(n: int) -> np.ndarray:
     k_idx = np.arange(n // 2 + 1)
     return (k_idx <= n // 3).astype(float)
 
@@ -119,6 +111,10 @@ def breakdown_detector(values: np.ndarray, cfg: SolverConfig) -> Optional[str]:
     return None
 
 
+def _nan_check(values: np.ndarray) -> Optional[str]:
+    return None if np.all(np.isfinite(values)) else "nan"
+
+
 def _vector_flux(sys: SystemSpec) -> Callable:
     if sys.fluxes_vec is not None:
         return sys.fluxes_vec[0]
@@ -143,40 +139,23 @@ def _vector_source(sys: SystemSpec) -> Callable:
     return slow
 
 
-def evolve(sys: SystemSpec, u0: GridFunction, cfg: SolverConfig,
-           observer: Callable | None = None,
-           store_states: bool = True) -> Trajectory:
-    """Nonlinear evolution d_t u + A(u) d_x u = F(u) (one space dimension).
+def _march(rhs: Callable, u: np.ndarray, grid: Grid1D, cfg: SolverConfig,
+           smooth: tuple, check: Callable, observer: Callable | None,
+           store_states: bool) -> Trajectory:
+    """Fixed-step RK4 for d_t u = rhs(t, u) from t = 0 to cfg.t_final.
 
-    The nonlinear term is dealiased by the 2/3 rule; the state is smoothed each
-    step by the exponential filter.  `observer(t, values)` is called at sample
-    times with the (N, n) state, letting callers record reduced observables
-    without storing full snapshots.
+    After each step the (N, n) state is smoothed by the exponential filter
+    (skipped when cfg.filter_strength is 0); `smooth = (k, forward, inverse)`
+    is the transform pair and its wavenumbers.  A non-None `check(u)` stops
+    the run and is recorded, with the offending state, as the breakdown.
+    `observer(t, u)` is called at t = 0 and at every sample time.
     """
-    if sys.space_dim != 1:
-        raise ValueError("evolve supports one space dimension")
-    grid = u0.grid
     n = grid.n
-    if n != cfg.n:
-        raise ValueError("grid/config node count mismatch")
-    xs = grid.nodes
-    k = _rfft_k(n, cfg.length)
-    deal = _dealias_mask(n, cfg.length) if cfg.dealias else np.ones(n // 2 + 1)
-    flux = _vector_flux(sys)
-    src = _vector_source(sys)
-    u = np.real(u0.values).T.copy()          # (N, n)
-
-    def rhs(t, v):
-        vh = np.fft.rfft(v, axis=-1)
-        vx = np.fft.irfft(1j * k * vh, n=n, axis=-1)
-        a = flux(t, xs, v.T)                 # (n, N, N)
-        out = -np.einsum("xij,jx->ix", a, vx) + src(t, xs, v.T).T
-        oh = np.fft.rfft(out, axis=-1) * deal
-        return np.fft.irfft(oh, n=n, axis=-1)
-
     n_steps = max(1, int(math.ceil(cfg.t_final / cfg.dt)))
     dt = cfg.t_final / n_steps
-    filt = _filter_mask(n, cfg.length, cfg.filter_strength, cfg.filter_order, dt)
+    k, forward, inverse = smooth
+    filt = _filter_mask(k, cfg.filter_strength, cfg.filter_order, dt) \
+        if cfg.filter_strength > 0 else None
     sample_every = max(1, n_steps // max(1, cfg.sample_count - 1))
     times = [0.0]
     states = [u.copy()] if store_states else []
@@ -190,28 +169,58 @@ def evolve(sys: SystemSpec, u0: GridFunction, cfg: SolverConfig,
         k3 = rhs(t + dt / 2, u + dt / 2 * k2)
         k4 = rhs(t + dt, u + dt * k3)
         u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        uh = np.fft.rfft(u, axis=-1) * filt
-        u = np.fft.irfft(uh, n=n, axis=-1)
+        if filt is not None:
+            u = inverse(forward(u, axis=-1) * filt, n=n, axis=-1)
         t = step * dt
-        if step % cfg.check_every == 0 or step == n_steps:
-            reason = breakdown_detector(u, cfg)
-            if reason is not None:
-                breakdown = BreakdownInfo(t, reason)
-                times.append(t)
-                if store_states:
-                    states.append(u.copy())
-                if observer is not None and np.all(np.isfinite(u)):
-                    observer(t, u)
-                break
-        if step % sample_every == 0 or step == n_steps:
+        reason = check(u)
+        if reason is not None:
+            breakdown = BreakdownInfo(t, reason)
+        if breakdown is not None or step % sample_every == 0 or step == n_steps:
             times.append(t)
             if store_states:
                 states.append(u.copy())
-            if observer is not None:
+            if observer is not None and np.all(np.isfinite(u)):
                 observer(t, u)
+        if breakdown is not None:
+            break
     return Trajectory(grid, np.asarray(times),
                       np.asarray(states) if store_states else np.zeros((0, u.shape[0], n)),
                       breakdown)
+
+
+def evolve(sys: SystemSpec, u0: GridFunction, cfg: SolverConfig,
+           observer: Callable | None = None,
+           store_states: bool = True) -> Trajectory:
+    """Nonlinear evolution d_t u + A(u) d_x u = F(u) (one space dimension).
+
+    The nonlinear term is dealiased by the 2/3 rule; the state is smoothed each
+    step by the exponential filter and checked by `breakdown_detector`.
+    `observer(t, values)` is called at sample times with the (N, n) state,
+    letting callers record reduced observables without storing full snapshots.
+    """
+    if sys.space_dim != 1:
+        raise ValueError("evolve supports one space dimension")
+    grid = u0.grid
+    n = grid.n
+    if n != cfg.n:
+        raise ValueError("grid/config node count mismatch")
+    xs = grid.nodes
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=cfg.length / n)
+    deal = _dealias_mask(n)
+    flux = _vector_flux(sys)
+    src = _vector_source(sys)
+
+    def rhs(t, v):
+        vh = np.fft.rfft(v, axis=-1)
+        vx = np.fft.irfft(1j * k * vh, n=n, axis=-1)
+        a = flux(t, xs, v.T)                 # (n, N, N)
+        out = -np.einsum("xij,jx->ix", a, vx) + src(t, xs, v.T).T
+        oh = np.fft.rfft(out, axis=-1) * deal
+        return np.fft.irfft(oh, n=n, axis=-1)
+
+    return _march(rhs, np.real(u0.values).T.copy(), grid, cfg,
+                  (k, np.fft.rfft, np.fft.irfft),
+                  lambda v: breakdown_detector(v, cfg), observer, store_states)
 
 
 def evolve_linearized(sys: SystemSpec, phi_vec: Callable, v0: GridFunction,
@@ -223,7 +232,8 @@ def evolve_linearized(sys: SystemSpec, phi_vec: Callable, v0: GridFunction,
     d_t v + eps^(h-1) A1(t, x0 + eps^(1-h) x, phi) d_x v + B v = 0.
 
     phi_vec(t, xs) -> (n, N) samples the reference solution at the rescaled
-    nodes; B_fn(t, xs) -> (n, N, N) is the optional zero-order term.
+    nodes; B_fn(t, xs) -> (n, N, N) is the optional zero-order term.  A
+    non-finite state stops the run as a "nan" breakdown.
     """
     grid = v0.grid
     n = grid.n
@@ -232,7 +242,6 @@ def evolve_linearized(sys: SystemSpec, phi_vec: Callable, v0: GridFunction,
     kk = 2.0 * np.pi * np.fft.fftfreq(n, d=cfg.length / n)
     flux = _vector_flux(sys)
     pref = eps ** (h - 1.0)
-    v = v0.values.T.astype(complex).copy()   # (N, n)
 
     def rhs(t, w):
         wh = np.fft.fft(w, axis=-1)
@@ -244,38 +253,8 @@ def evolve_linearized(sys: SystemSpec, phi_vec: Callable, v0: GridFunction,
             out -= np.einsum("xij,jx->ix", B_fn(t, xs_resc), w)
         return out
 
-    n_steps = max(1, int(math.ceil(cfg.t_final / cfg.dt)))
-    dt = cfg.t_final / n_steps
-    filt = _filter_mask(n, cfg.length, cfg.filter_strength, cfg.filter_order, dt)
-    sample_every = max(1, n_steps // max(1, cfg.sample_count - 1))
-    times = [0.0]
-    states = [v.copy()] if store_states else []
-    if observer is not None:
-        observer(0.0, v)
-    breakdown = None
-    t = 0.0
-    for step in range(1, n_steps + 1):
-        k1 = rhs(t, v)
-        k2 = rhs(t + dt / 2, v + dt / 2 * k1)
-        k3 = rhs(t + dt / 2, v + dt / 2 * k2)
-        k4 = rhs(t + dt, v + dt * k3)
-        v = v + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if cfg.filter_strength > 0:
-            v = np.fft.ifft(np.fft.fft(v, axis=-1) * np.concatenate(
-                [filt, filt[-2:0:-1]])[None, :], axis=-1)
-        t = step * dt
-        if not np.all(np.isfinite(v)):
-            breakdown = BreakdownInfo(t, "nan")
-            break
-        if step % sample_every == 0 or step == n_steps:
-            times.append(t)
-            if store_states:
-                states.append(v.copy())
-            if observer is not None:
-                observer(t, v)
-    return Trajectory(grid, np.asarray(times),
-                      np.asarray(states) if store_states else np.zeros((0, v.shape[0], n)),
-                      breakdown)
+    return _march(rhs, v0.values.T.astype(complex).copy(), grid, cfg,
+                  (kk, np.fft.fft, np.fft.ifft), _nan_check, observer, store_states)
 
 
 # ---------------------------------------------------------------------------
@@ -407,34 +386,6 @@ def w1inf_ball(values: np.ndarray, grid: Grid1D, length: float,
     return float(np.max(np.abs(values[:, mask])) + np.max(np.abs(vx[:, mask])))
 
 
-def hadamard_ratio(u_traj: Trajectory, phi_traj, params: HadamardParams,
-                   eps: float, x0: float = 0.0) -> HadamardRow:
-    """Ratio row from stored trajectories (phi_traj: Trajectory with matching
-    times, or a vectorized closed form phi(t, xs) -> (n, N))."""
-    grid = u_traj.grid
-    length = grid.length
-    radius = eps ** (1.0 - params.h) * params.delta
-
-    def phi_at(idx, t):
-        if isinstance(phi_traj, Trajectory):
-            return phi_traj.states[idx]
-        return np.asarray(phi_traj(t, grid.nodes)).T
-
-    num = 0.0
-    for idx, t in enumerate(u_traj.times):
-        diff = u_traj.states[idx] - phi_at(idx, t)
-        num = max(num, w1inf_ball(diff, grid, length, x0, radius))
-    diff0 = u_traj.states[0] - phi_at(0, 0.0)
-    den = sobolev_norm(GridFunction(grid, diff0.T), params.m) ** params.alpha
-    t_final = float(u_traj.times[-1])
-    return HadamardRow(eps, params.T_eps(eps), t_final, num, den,
-                       num / den if den > 0 else np.inf,
-                       np.nan, np.nan,
-                       u_traj.breakdown.time if u_traj.breakdown else None,
-                       u_traj.breakdown.reason if u_traj.breakdown else None,
-                       grid.n)
-
-
 def _fit_growth_exponent(times, amps, ell, eps, cap):
     """Slope of log(amp) against t^(1+ell)/eps over the linear-growth window
     (above the packet's own scale, below the onset of nonlinear steepening)."""
@@ -459,14 +410,14 @@ def run_instability_experiment(sys: SystemSpec, phi, classification,
                                filter_strength: float = 1e4, filter_order: int = 8,
                                nodes_per_osc: int = 8, sample_count: int = 60,
                                linf_cap: float | None = None, dt_safety: float = 1.0,
-                               dump_dir: str | None = None,
-                               seed: int = 0) -> HadamardReport:
+                               dump_dir: str | None = None) -> HadamardReport:
     """Wave-packet instability experiment across an eps ladder.
 
     Builds the datum phi(0) + packet, evolves to eps^h T(eps), and reports the
     Hoelder ratio, the fitted packet growth exponent, and breakdowns (which
     count as instability findings, not failures).  `control=True` runs a stable
     system through the identical pipeline, borrowing the scales in `params`.
+    The run draws no random numbers, so it needs no seed.
     """
     if not control and classification is not None and \
             classification.regime in (PERSISTENT, INDETERMINATE):
@@ -484,11 +435,8 @@ def run_instability_experiment(sys: SystemSpec, phi, classification,
         grid = Grid1D(n, length, x_left=x0 - length / 2.0)
         xs = grid.nodes
         if phi_traj_vec is not None:
-            phi_fn = phi_traj_vec
+            phi0 = np.asarray(phi_traj_vec(0.0, xs)).T
         else:
-            phi_fn = None
-        phi0 = np.asarray(phi_fn(0.0, xs)).T if phi_fn is not None else None
-        if phi0 is None:
             phi0 = np.stack([np.asarray(phi(0.0, [x]), dtype=float) for x in xs]).T
         spec = WavePacketSpec(K=params.K, xi0=xi0, x0=x0, eps=eps, h=h,
                               delta=params.delta, e_vec=np.asarray(e_vec, dtype=complex))
@@ -507,16 +455,15 @@ def run_instability_experiment(sys: SystemSpec, phi, classification,
                            length=length, filter_order=filter_order,
                            filter_strength=filter_strength / dt_nominal,
                            linf_cap=cap, sample_count=sample_count)
-        if phi_fn is None:
-            phi_cfg = cfg
-            phi_traj = evolve(sys, GridFunction(grid, phi0.T), phi_cfg)
+        if phi_traj_vec is not None:
+            def phi_at(t):
+                return np.asarray(phi_traj_vec(t, xs)).T
+        else:
+            phi_traj = evolve(sys, GridFunction(grid, phi0.T), cfg)
 
             def phi_at(t, _traj=phi_traj):
                 idx = int(np.argmin(np.abs(_traj.times - t)))
                 return _traj.states[idx]
-        else:
-            def phi_at(t):
-                return np.asarray(phi_fn(t, xs)).T
 
         obs_times, ball_norms, amps = [], [], []
         last_state = {}
@@ -555,7 +502,7 @@ def run_instability_experiment(sys: SystemSpec, phi, classification,
         "delta": params.delta, "T_star": params.T_star, "h": h,
         "gamma_minus": gamma, "filter_strength": filter_strength,
         "filter_order": filter_order, "nodes_per_osc": nodes_per_osc,
-        "length": length, "seed": seed,
+        "length": length,
     }
     return HadamardReport(rows, meta)
 
@@ -610,9 +557,11 @@ def free_solution_compare(sys: SystemSpec, phi, eps: float, classification,
     dt = dt_safety * 0.5 * length / (n * speed)
     tau_end = eps ** h * t_end
     cfg = SolverConfig(n=n, dt=dt, t_final=tau_end, max_speed=speed,
-                       length=length, filter_strength=0.0, dealias=False,
-                       sample_count=2)
+                       length=length, filter_strength=0.0, sample_count=2)
     traj = evolve_linearized(sys, phi_vec, v0, eps, h, x0, cfg)
+    if traj.breakdown is not None:
+        raise RuntimeError(f"linearized run broke down ({traj.breakdown.reason}) "
+                           f"at t = {traj.breakdown.time:.6g}")
     v_lin = traj.final                      # (N, n) complex
 
     # symbolic-flow side: the generator per mode is i eps^(h-1) A(eps t,
@@ -656,12 +605,7 @@ def free_solution_compare(sys: SystemSpec, phi, eps: float, classification,
         dtf = t_end / flow_steps
         for i in range(flow_steps):
             t = i * dtf
-            g0 = gen(t); gm = gen(t + dtf / 2); g1 = gen(t + dtf)
-            k1 = -(g0 @ s)
-            k2 = -(gm @ (s + dtf / 2 * k1))
-            k3 = -(gm @ (s + dtf / 2 * k2))
-            k4 = -(g1 @ (s + dtf * k3))
-            s = s + dtf / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            s = _rk4(s, dtf, gen(t), gen(t + dtf / 2), gen(t + dtf))
         xc_ext = np.concatenate([xc, [length / 2.0]])
         for j, kidx in enumerate(ks):
             s_ext = np.concatenate([s[:, j], s[:1, j]], axis=0)

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from hypflow import pde_sim
 from hypflow.cli import EXIT_BREAKDOWN, EXIT_CONFIG, EXIT_OK, main
 
 
@@ -62,6 +65,54 @@ def test_config_file_round_trip(capsys, tmp_path):
     jcfg.write_text(json.dumps({"state": "elliptic"}))
     code, out, _ = run(["classify", "--example", "vdw", "--config", str(jcfg)], capsys)
     assert code == EXIT_OK and "Elliptic" in out
+
+
+@pytest.mark.parametrize("key", ["eps_ladder", "eps-ladder"])
+@pytest.mark.parametrize("flag", [["--eps-ladder", "1e-2,1e-3"], ["--eps-ladder=1e-2,1e-3"]])
+def test_explicit_flag_beats_config(capsys, tmp_path, key, flag):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[quantize-check]\n{key} = 0.5,0.25\n")
+    code, _, _ = run(["quantize-check", "--out", str(tmp_path), "--config", str(cfg)]
+                     + flag, capsys)
+    assert code == EXIT_OK
+    header = (tmp_path / "quantize_check.csv").read_text()
+    assert "# eps_ladder=1e-2,1e-3\n" in header
+
+
+def _capture_simulate(monkeypatch):
+    seen = {}
+
+    def fake(*args, **kwargs):
+        seen.update(kwargs)
+        return pde_sim.HadamardReport([], {})
+    monkeypatch.setattr(pde_sim, "run_instability_experiment", fake)
+    return seen
+
+
+def test_config_booleans_false_stay_off(capsys, tmp_path, monkeypatch):
+    seen = _capture_simulate(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("control = false\ndump-states = False\n")
+    code, _, _ = run(["simulate", "--example", "burgers1d", "--state", "semisimple",
+                      "--out", str(tmp_path), "--config", str(cfg)], capsys)
+    assert code == EXIT_OK
+    assert seen["control"] is False and seen["dump_dir"] is None
+    jcfg = tmp_path / "run.json"
+    jcfg.write_text(json.dumps({"control": "YES", "dump_states": 1}))
+    code, _, _ = run(["simulate", "--example", "burgers1d", "--state", "semisimple",
+                      "--out", str(tmp_path), "--config", str(jcfg)], capsys)
+    assert code == EXIT_OK
+    assert seen["control"] is True and seen["dump_dir"] is not None
+
+
+def test_config_bad_boolean_is_config_error(capsys, tmp_path, monkeypatch):
+    seen = _capture_simulate(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("control = maybe\n")
+    code, _, err = run(["simulate", "--example", "burgers1d", "--state", "semisimple",
+                        "--config", str(cfg)], capsys)
+    assert code == EXIT_CONFIG and "control" in err
+    assert not seen
 
 
 def test_airy_command_headers_and_wronskian(capsys, tmp_path):

@@ -5,8 +5,7 @@ from hypflow.classifier import classify
 from hypflow.examples import burgers1d, get_state, kgz
 from hypflow.pde_sim import (HadamardParams, SolverConfig, breakdown_detector,
                              evolve, evolve_linearized, free_solution_compare,
-                             hadamard_ratio, run_instability_experiment,
-                             w1inf_ball)
+                             run_instability_experiment, w1inf_ball)
 from hypflow.semiclassical import Grid1D, GridFunction, WavePacketSpec, build_wavepacket
 from hypflow.system_model import Domain, ReferenceSolution, SystemSpec
 
@@ -141,7 +140,7 @@ def test_linearized_constant_transport_fourier_exact():
     v0 = _packet(grid, eps, h, (1.0, 0.0))
     t_end = 0.5 * eps
     cfg = SolverConfig(n=n, dt=t_end / 400, t_final=t_end, max_speed=1.0,
-                       filter_strength=0.0, dealias=False, sample_count=2)
+                       filter_strength=0.0, sample_count=2)
     traj = evolve_linearized(sysb, phi_vec, v0, eps, h, 0.0, cfg)
     # Fourier-exact: each mode multiplied by exp(-i k t A(phi)) with A = 0.3 I
     a = np.array([[0.3, 0.0], [0.0, 0.3]])
@@ -172,7 +171,7 @@ def test_linearized_elliptic_amplitude_law():
     v0 = _packet(grid, eps, h, (1j, 1.0))
     t_end = 3.0 * eps
     cfg = SolverConfig(n=n, dt=eps / 300, t_final=t_end, max_speed=1.0,
-                       filter_strength=0.0, dealias=False, sample_count=30)
+                       filter_strength=0.0, sample_count=30)
     k0 = int(round(1.0 / eps))
     amps, times = [], []
 
@@ -208,7 +207,7 @@ def test_linearized_zero_order_term_changes_no_rate():
     v0 = _packet(grid, eps, h, (1j, 1.0))
     t_end = 2.5 * eps
     cfg = SolverConfig(n=n, dt=eps / 300, t_final=t_end, max_speed=1.0,
-                       filter_strength=0.0, dealias=False, sample_count=30)
+                       filter_strength=0.0, sample_count=30)
     k0 = int(round(1.0 / eps))
     rates = []
     for bf in (None, b_fn):
@@ -243,20 +242,6 @@ def test_params_gates():
     # documented defaults satisfy the gates even if numerically impractical
     d = HadamardParams.defaults(h=0.5, gamma_minus=0.5)
     assert d.m == 2.0 and d.alpha == 0.6 and d.K == 14
-
-
-def test_hadamard_ratio_zero_for_identical():
-    params = HadamardParams(K=3.0, alpha=1.0, m=1.25, delta=0.7, T_star=9.0,
-                            h=0.5, gamma_minus=0.5)
-    n = 256
-    grid = Grid1D(n, 2 * np.pi)
-    from hypflow.pde_sim import Trajectory
-    states = np.zeros((2, 1, n))
-    states[:, 0, :] = 0.3
-    traj = Trajectory(grid, np.array([0.0, 0.1]), states)
-    phi_fn = lambda t, xs: np.full((np.atleast_1d(xs).size, 1), 0.3)
-    row = hadamard_ratio(traj, phi_fn, params, 1e-2)
-    assert row.numerator == 0.0
 
 
 def test_w1inf_ball_requires_nodes():
@@ -302,6 +287,38 @@ def test_free_solution_smoke_and_sanity():
     bad = free_solution_compare(sysc, phi, 1e-2, None, 1.5,
                                 e_vec=(1.0, 1.0), phi_vec=phiv, sign=-1.0)
     assert bad.rel_error > 0.1
+
+
+def test_free_solution_raises_on_linearized_breakdown():
+    # a flux that turns NaN for t > 0 must stop the comparison, not leave a
+    # finite error measured against the datum
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+    def a1v(t, xs, us):
+        return np.broadcast_to(j * (np.nan if t > 0 else 1.0), (us.shape[0], 2, 2))
+
+    sysn = SystemSpec("nan_after_0", 1, 2, (lambda t, x, u: j,),
+                      lambda t, x, u: np.zeros(2), fluxes_vec=(a1v,),
+                      source_vec=lambda t, xs, us: np.zeros((us.shape[0], 2)))
+    phi = ReferenceSolution(initial=lambda x: np.zeros(2),
+                            domain=Domain(2 * np.pi, 1),
+                            value=lambda t, x: np.zeros(2))
+    phiv = lambda t, xs: np.zeros((np.atleast_1d(xs).size, 2))
+
+    eps, h, n = 1e-2, 1.0, 1024
+    grid = Grid1D(n, 2 * np.pi, x_left=-np.pi)
+    v0 = _packet(grid, eps, h, (1.0, 1j))
+    cfg = SolverConfig(n=n, dt=1e-4, t_final=1e-3, max_speed=1.0,
+                       filter_strength=0.0, sample_count=2)
+    traj = evolve_linearized(sysn, phiv, v0, eps, h, 0.0, cfg)
+    assert traj.breakdown is not None and traj.breakdown.reason == "nan"
+    assert traj.times[-1] == traj.breakdown.time == pytest.approx(1e-4)
+    assert len(traj.states) == len(traj.times) == 2
+    assert not np.all(np.isfinite(traj.final))
+
+    with pytest.raises(RuntimeError, match="broke down"):
+        free_solution_compare(sysn, phi, 1e-2, None, 1.5, e_vec=(1.0, 1j),
+                              phi_vec=phiv)
 
 
 def test_solver_config_cfl_gate():
