@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .system_model import as_field
+from .system_model import _richardson_dt, as_field
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL01_NODES = 0.5 * (_GL_NODES + 1.0)
@@ -66,8 +66,7 @@ class GrowthEnvelope:
 
 
 def _dcoeffs_dt(field, t, x, xi, step=1e-4):
-    d = lambda s: (field.coeffs(t + s, x, xi) - field.coeffs(t - s, x, xi)) / (2 * s)
-    return (4.0 * d(step / 2) - d(step)) / 3.0
+    return _richardson_dt(lambda s: field.coeffs(s, x, xi), t, step)[0]
 
 
 def solve_mu_star(sys, phi, t, x, xi, lam_init, tol: float = 1e-11,

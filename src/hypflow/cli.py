@@ -409,6 +409,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _config_options(parser, command: str) -> dict:
+    """Options of `command` that a config key may set, keyed by dest and by
+    each option string, dashes read as underscores."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    out = {}
+    for action in sub._actions:
+        if not action.option_strings or action.dest in ("help", "config"):
+            continue
+        out[action.dest] = action
+        for opt in action.option_strings:
+            out[opt.lstrip("-").replace("-", "_")] = action
+    return out
+
+
 def _explicit_dests(argv) -> set[str]:
     """Destinations given on the command line, however spelled: `argv`
     parsed again with every default suppressed."""
@@ -433,17 +448,22 @@ def main(argv=None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         explicit = _explicit_dests(argv)
+        options = _config_options(parser, args.command)
         for key, val in cfg.items():
-            attr = key.split(".")[-1].replace("-", "_")
-            if hasattr(args, attr) and attr not in explicit:
-                cur = getattr(args, attr)
-                caster = _config_bool if isinstance(cur, bool) else \
-                    type(cur) if cur is not None else str
-                try:
-                    setattr(args, attr, caster(val))
-                except (TypeError, ValueError) as exc:
-                    print(f"config error for {key}: {exc}", file=sys.stderr)
-                    return EXIT_CONFIG
+            action = options.get(key.split(".")[-1].replace("-", "_"))
+            if action is None:
+                print(f"config error: {key!r} names no option of {args.command}",
+                      file=sys.stderr)
+                return EXIT_CONFIG
+            if action.dest in explicit:
+                continue
+            caster = _config_bool if isinstance(action, argparse._StoreTrueAction) \
+                else action.type or str
+            try:
+                setattr(args, action.dest, caster(val))
+            except (TypeError, ValueError) as exc:
+                print(f"config error for {key}: {exc}", file=sys.stderr)
+                return EXIT_CONFIG
     try:
         return args.func(args)
     except (ConfigError, KeyError, ValueError) as exc:

@@ -22,37 +22,40 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 # system factories
 # ---------------------------------------------------------------------------
 
-def burgers1d(b: Callable | float = 1.0, F: Callable | tuple = (0.0, 0.0)) -> SystemSpec:
-    """2x2 Burgers-type system with flux matrix [[u1, -b(u)^2 u2],[u2, u1]]."""
-    b_fn = b if callable(b) else (lambda u: float(b))
-    if callable(F):
-        f_fn = F
+def _burgers_fluxes(b: Callable | float, F: Callable | tuple):
+    """Batched A_1 = [[u1, -b^2 u2], [u2, u1]], A_2 = A_1 - u1 I and F."""
+    b_of = b if callable(b) else (lambda u: float(b))
+    f_of = F if callable(F) else (lambda u: F)
 
-        def src_vec(t, xs, us):
-            return np.asarray([f_fn(u) for u in us], dtype=float)
-    else:
-        f_const = np.asarray(F, dtype=float)
-        f_fn = lambda u: f_const
-
-        def src_vec(t, xs, us):
-            return np.tile(f_const, (us.shape[0], 1))
-
-    def a1(t, x, u):
-        bb = b_fn(u) ** 2
-        return np.array([[u[0], -bb * u[1]], [u[1], u[0]]])
-
-    def src(t, x, u):
-        return np.asarray(f_fn(u), dtype=float)
-
-    def a1_vec(t, xs, us):
-        out = np.empty((us.shape[0], 2, 2))
-        bb = np.asarray([b_fn(u) ** 2 for u in us]) if callable(b) else float(b) ** 2
-        out[:, 0, 0] = us[:, 0]
-        out[:, 0, 1] = -bb * us[:, 1]
+    def a2(t, xs, us):
+        out = np.zeros((us.shape[0], 2, 2))
+        out[:, 0, 1] = -b_of(us) ** 2 * us[:, 1]
         out[:, 1, 0] = us[:, 1]
+        return out
+
+    def a1(t, xs, us):
+        out = a2(t, xs, us)
+        out[:, 0, 0] = us[:, 0]
         out[:, 1, 1] = us[:, 0]
         return out
 
+    def src(t, xs, us):
+        out = np.empty(us.shape)
+        out[:, 0], out[:, 1] = f_of(us)
+        return out
+
+    return a1, a2, src
+
+
+def burgers1d(b: Callable | float = 1.0, F: Callable | tuple = (0.0, 0.0)) -> SystemSpec:
+    """2x2 Burgers-type system with flux matrix [[u1, -b(u)^2 u2],[u2, u1]].
+
+    A callable ``b(u)`` or ``F(u)`` reads the state components as
+    ``u[..., k]``, so the same callable serves one state (shape (2,)) and a
+    node batch (shape (n, 2)); ``F`` returns its two components, each a
+    scalar or an array of the batch shape.
+    """
+    a1, _, src = _burgers_fluxes(b, F)
     du = None
     if not callable(b):
         bb = float(b) ** 2
@@ -66,8 +69,7 @@ def burgers1d(b: Callable | float = 1.0, F: Callable | tuple = (0.0, 0.0)) -> Sy
             return out
         du = (du_a1,)
 
-    return SystemSpec("burgers1d", 1, 2, (a1,), src, du_fluxes=du,
-                      fluxes_vec=(a1_vec,), source_vec=src_vec)
+    return SystemSpec("burgers1d", 1, 2, du_fluxes=du, fluxes_vec=(a1,), source_vec=src)
 
 
 def burgers_conservation_fluxes(b_of_u2: Callable) -> tuple[Callable, Callable]:
@@ -87,26 +89,14 @@ def burgers_conservation_fluxes(b_of_u2: Callable) -> tuple[Callable, Callable]:
 
 
 def burgers2d(b: Callable | float = 1.0, F: Callable | tuple = (0.0, 0.0)) -> SystemSpec:
-    """Two-dimensional Burgers system; classification only, no 2D evolution."""
-    b_fn = b if callable(b) else (lambda u: float(b))
-    if callable(F):
-        f_fn = F
-    else:
-        f_const = np.asarray(F, dtype=float)
-        f_fn = lambda u: f_const
+    """Two-dimensional Burgers system; classification only, no 2D evolution.
+    ``b`` and ``F`` follow the :func:`burgers1d` contract."""
+    a1, a2, src = _burgers_fluxes(b, F)
+    return SystemSpec("burgers2d", 2, 2, fluxes_vec=(a1, a2), source_vec=src)
 
-    def a1(t, x, u):
-        bb = b_fn(u) ** 2
-        return np.array([[u[0], -bb * u[1]], [u[1], u[0]]])
 
-    def a2(t, x, u):
-        bb = b_fn(u) ** 2
-        return np.array([[0.0, -bb * u[1]], [u[1], 0.0]])
-
-    def src(t, x, u):
-        return np.asarray(f_fn(u), dtype=float)
-
-    return SystemSpec("burgers2d", 2, 2, (a1, a2), src)
+def _zero_source(t, xs, us):
+    return np.zeros(us.shape)
 
 
 def van_der_waals(p: Callable | None = None, dp: Callable | None = None,
@@ -115,7 +105,7 @@ def van_der_waals(p: Callable | None = None, dp: Callable | None = None,
 
     The default pressure p(u) = u^3/3 - u has p' = u^2 - 1: negative on
     (-1, 1), vanishing at +-1, realizing both the elliptic and the
-    non-semisimple regime.
+    non-semisimple regime.  ``p`` and ``dp`` act elementwise on arrays.
     """
     if p is None:
         p = lambda u: u ** 3 / 3.0 - u
@@ -125,12 +115,6 @@ def van_der_waals(p: Callable | None = None, dp: Callable | None = None,
         hp = 1e-6
         dp = lambda u: (p(u + hp) - p(u - hp)) / (2 * hp)
 
-    def a1(t, x, u):
-        return np.array([[0.0, 1.0], [dp(u[0]), 0.0]])
-
-    def src(t, x, u):
-        return np.zeros(2)
-
     du = None
     if d2p is not None:
         def du_a1(t, x, u):
@@ -139,17 +123,14 @@ def van_der_waals(p: Callable | None = None, dp: Callable | None = None,
             return out
         du = (du_a1,)
 
-    def a1_vec(t, xs, us):
+    def a1(t, xs, us):
         out = np.zeros((us.shape[0], 2, 2))
         out[:, 0, 1] = 1.0
-        out[:, 1, 0] = np.asarray([dp(u) for u in us[:, 0]])
+        out[:, 1, 0] = dp(us[:, 0])
         return out
 
-    def src_vec(t, xs, us):
-        return np.zeros((us.shape[0], 2))
-
-    return SystemSpec("van_der_waals", 1, 2, (a1,), src, du_fluxes=du,
-                      fluxes_vec=(a1_vec,), source_vec=src_vec)
+    return SystemSpec("van_der_waals", 1, 2, du_fluxes=du, fluxes_vec=(a1,),
+                      source_vec=_zero_source)
 
 
 def kgz(alpha: float, c: float) -> SystemSpec:
@@ -158,14 +139,21 @@ def kgz(alpha: float, c: float) -> SystemSpec:
     if abs(c) == 1.0:
         raise ValueError("acoustic velocity |c| = 1 resonates with the Klein-Gordon cone")
 
-    def a1(t, x, u):
-        return np.array([[0.0, 1.0, alpha, 0.0],
-                         [1.0, 0.0, 0.0, 0.0],
-                         [alpha, 0.0, 0.0, c],
-                         [-2.0 * u[0], -2.0 * u[1], c, 0.0]])
+    def a1(t, xs, us):
+        out = np.zeros((us.shape[0], 4, 4))
+        out[:, 0, 1] = 1.0; out[:, 0, 2] = alpha
+        out[:, 1, 0] = 1.0
+        out[:, 2, 0] = alpha; out[:, 2, 3] = c
+        out[:, 3, 0] = -2.0 * us[:, 0]
+        out[:, 3, 1] = -2.0 * us[:, 1]
+        out[:, 3, 2] = c
+        return out
 
-    def src(t, x, u):
-        return np.array([(u[2] + 1.0) * u[1], -(u[2] + 1.0) * u[0], 0.0, 0.0])
+    def src(t, xs, us):
+        out = np.zeros((us.shape[0], 4))
+        out[:, 0] = (us[:, 2] + 1.0) * us[:, 1]
+        out[:, 1] = -(us[:, 2] + 1.0) * us[:, 0]
+        return out
 
     def du_a1(t, x, u):
         out = np.zeros((4, 4, 4))
@@ -181,25 +169,8 @@ def kgz(alpha: float, c: float) -> SystemSpec:
         out[1, 2] = -u[0]
         return out
 
-    def a1_vec(t, xs, us):
-        n = us.shape[0]
-        out = np.zeros((n, 4, 4))
-        out[:, 0, 1] = 1.0; out[:, 0, 2] = alpha
-        out[:, 1, 0] = 1.0
-        out[:, 2, 0] = alpha; out[:, 2, 3] = c
-        out[:, 3, 0] = -2.0 * us[:, 0]
-        out[:, 3, 1] = -2.0 * us[:, 1]
-        out[:, 3, 2] = c
-        return out
-
-    def src_vec(t, xs, us):
-        out = np.zeros((us.shape[0], 4))
-        out[:, 0] = (us[:, 2] + 1.0) * us[:, 1]
-        out[:, 1] = -(us[:, 2] + 1.0) * us[:, 0]
-        return out
-
-    return SystemSpec("kgz", 1, 4, (a1,), src, du_fluxes=(du_a1,), du_source=du_src,
-                      fluxes_vec=(a1_vec,), source_vec=src_vec)
+    return SystemSpec("kgz", 1, 4, du_fluxes=(du_a1,), du_source=du_src,
+                      fluxes_vec=(a1,), source_vec=src)
 
 
 def kgz_charpoly(lam, u, v, alpha, c):
@@ -226,19 +197,10 @@ def kgz_semilinear(c: float) -> SystemSpec:
         return 0.5 * (w[..., 2] + w[..., 3]) \
             - c * (w[..., 0] ** 2 + w[..., 1] ** 2) / (2.0 * omc2)
 
-    def a1(t, x, w):
-        return amat
-
-    def src(t, x, w):
-        n = n_of(w)
-        return np.array([-(n + 1.0) * w[1], (n + 1.0) * w[0],
-                         -2.0 * (n + 1.0) * w[0] * w[1] / omc2,
-                         2.0 * (n + 1.0) * w[0] * w[1] / omc2])
-
-    def a1_vec(t, xs, ws):
+    def a1(t, xs, ws):
         return np.broadcast_to(amat, (ws.shape[0], 4, 4))
 
-    def src_vec(t, xs, ws):
+    def src(t, xs, ws):
         n = n_of(ws)
         out = np.empty((ws.shape[0], 4))
         out[:, 0] = -(n + 1.0) * ws[:, 1]
@@ -248,8 +210,7 @@ def kgz_semilinear(c: float) -> SystemSpec:
         out[:, 3] = uv
         return out
 
-    return SystemSpec("kgz_semilinear", 1, 4, (a1,), src,
-                      fluxes_vec=(a1_vec,), source_vec=src_vec)
+    return SystemSpec("kgz_semilinear", 1, 4, fluxes_vec=(a1,), source_vec=src)
 
 
 def kgz_semilinear_conjugation(state: np.ndarray, c: float,
@@ -288,13 +249,7 @@ def kgz_semilinear_conjugation(state: np.ndarray, c: float,
 
 def symmetric_control() -> SystemSpec:
     """Symmetric (hence hyperbolic) 2x2 system used as the stable control."""
-    def a1(t, x, u):
-        return np.array([[u[0], u[1]], [u[1], u[0]]])
-
-    def src(t, x, u):
-        return np.zeros(2)
-
-    def a1_vec(t, xs, us):
+    def a1(t, xs, us):
         out = np.empty((us.shape[0], 2, 2))
         out[:, 0, 0] = us[:, 0]
         out[:, 0, 1] = us[:, 1]
@@ -302,11 +257,7 @@ def symmetric_control() -> SystemSpec:
         out[:, 1, 1] = us[:, 0]
         return out
 
-    def src_vec(t, xs, us):
-        return np.zeros((us.shape[0], 2))
-
-    return SystemSpec("symmetric_control", 1, 2, (a1,), src,
-                      fluxes_vec=(a1_vec,), source_vec=src_vec)
+    return SystemSpec("symmetric_control", 1, 2, fluxes_vec=(a1,), source_vec=_zero_source)
 
 
 # ---------------------------------------------------------------------------
@@ -351,31 +302,26 @@ def degenerate_symbol_ex_not(a: Callable | float = 0.0) -> DegenerateCrossingFam
 
 @dataclass
 class ModelBlockFamily:
-    """Canonical non-semisimple block xi [[0,1],[sign t^a, 0]]; the negative
+    """Canonical non-semisimple block xi [[0,1],[sign t, 0]]; the negative
     sign branches into non-real, non-differentiable eigenvalues."""
 
     sign: int = -1
-    a_exponent: int = 1
-
-    def __post_init__(self):
-        if self.a_exponent != 1:
-            raise ValueError("only the linear-in-t block is modelled")
 
     def symbol(self, t, x, xi):
         xi = float(np.atleast_1d(xi)[0])
-        return xi * np.array([[0.0, 1.0], [self.sign * t ** self.a_exponent, 0.0]])
+        return xi * np.array([[0.0, 1.0], [self.sign * t, 0.0]])
 
     def field(self) -> SymbolField:
         return SymbolField(lambda t, x, xi: self.symbol(t, x, xi), 1, 2,
                            name=f"model-block({self.sign:+d})")
 
     def eigenvalues(self, t, xi=1.0):
-        root = complex(self.sign * t ** self.a_exponent) ** 0.5
+        root = complex(self.sign * t) ** 0.5
         return xi * root, -xi * root
 
 
-def model_blocks(sign: int = -1, a_exponent: int = 1) -> ModelBlockFamily:
-    return ModelBlockFamily(sign, a_exponent)
+def model_blocks(sign: int = -1) -> ModelBlockFamily:
+    return ModelBlockFamily(sign)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +380,7 @@ def _burgers_states():
     phi, vec = constant_reference((0.3, 0.0))
     states["persistent"] = StateBundle(sys_f0, phi, PERSISTENT, np.zeros(1), np.ones(1),
                                        REGION_1D, vec)
-    sys_ill = burgers1d(lambda u: 1.0 + u[1] ** 2, lambda u: (0.0, u[0] ** 2))
+    sys_ill = burgers1d(lambda u: 1.0 + u[..., 1] ** 2, lambda u: (0.0, u[..., 0] ** 2))
     phi, vec = constant_reference((0.5, 0.0), dvalues_dt=(0.0, 0.25))
     states["ill-posed-all-data"] = StateBundle(sys_ill, phi, SEMISIMPLE, np.zeros(1),
                                                np.ones(1), REGION_1D, vec,
@@ -523,31 +469,25 @@ class ExampleRegistryEntry:
     make_states: Callable
     default_params: dict = dfield(default_factory=dict)
     symbol_only: bool = False
-    citation: str = ""
 
 
 REGISTRY = {
     "burgers1d": ExampleRegistryEntry(
         "burgers1d", "2x2 Burgers family [[u1,-b^2 u2],[u2,u1]]",
-        lambda **kw: _burgers_states(),
-        citation="one-dimensional Burgers systems"),
+        lambda **kw: _burgers_states()),
     "burgers2d": ExampleRegistryEntry(
         "burgers2d", "two-dimensional Burgers family (classification only)",
-        lambda **kw: _burgers2d_states(), symbol_only=True,
-        citation="two-dimensional Burgers systems"),
+        lambda **kw: _burgers2d_states(), symbol_only=True),
     "vdw": ExampleRegistryEntry(
         "vdw", "isentropic Euler with a Van der Waals pressure",
-        lambda **kw: _vdw_states(),
-        citation="Van der Waals gas dynamics"),
+        lambda **kw: _vdw_states()),
     "kgz": ExampleRegistryEntry(
         "kgz", "Klein-Gordon coupled to a wave equation, states (u,v,n,m)",
         lambda alpha=1.0, c=0.5, **kw: _kgz_states(alpha, c),
-        default_params={"alpha": 1.0, "c": 0.5},
-        citation="Klein-Gordon-Zakharov systems"),
+        default_params={"alpha": 1.0, "c": 0.5}),
     "symmetric-control": ExampleRegistryEntry(
         "symmetric-control", "symmetric hyperbolic control system",
-        lambda **kw: _control_states(),
-        citation="stable control for the ladder experiment"),
+        lambda **kw: _control_states()),
 }
 
 

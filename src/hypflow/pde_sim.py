@@ -115,30 +115,6 @@ def _nan_check(values: np.ndarray) -> Optional[str]:
     return None if np.all(np.isfinite(values)) else "nan"
 
 
-def _vector_flux(sys: SystemSpec) -> Callable:
-    if sys.fluxes_vec is not None:
-        return sys.fluxes_vec[0]
-
-    def slow(t, xs, us):
-        out = np.empty((xs.size, sys.state_dim, sys.state_dim))
-        for i in range(xs.size):
-            out[i] = sys.flux(0, t, xs[i:i + 1], us[i])
-        return out
-    return slow
-
-
-def _vector_source(sys: SystemSpec) -> Callable:
-    if sys.source_vec is not None:
-        return sys.source_vec
-
-    def slow(t, xs, us):
-        out = np.empty((xs.size, sys.state_dim))
-        for i in range(xs.size):
-            out[i] = sys.eval_source(t, xs[i:i + 1], us[i])
-        return out
-    return slow
-
-
 def _march(rhs: Callable, u: np.ndarray, grid: Grid1D, cfg: SolverConfig,
            smooth: tuple, check: Callable, observer: Callable | None,
            store_states: bool) -> Trajectory:
@@ -207,8 +183,8 @@ def evolve(sys: SystemSpec, u0: GridFunction, cfg: SolverConfig,
     xs = grid.nodes
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=cfg.length / n)
     deal = _dealias_mask(n)
-    flux = _vector_flux(sys)
-    src = _vector_source(sys)
+    flux = sys.fluxes_vec[0]
+    src = sys.source_vec
 
     def rhs(t, v):
         vh = np.fft.rfft(v, axis=-1)
@@ -240,7 +216,7 @@ def evolve_linearized(sys: SystemSpec, phi_vec: Callable, v0: GridFunction,
     xs_resc = grid.nodes
     xs_phys = x0 + eps ** (1.0 - h) * xs_resc
     kk = 2.0 * np.pi * np.fft.fftfreq(n, d=cfg.length / n)
-    flux = _vector_flux(sys)
+    flux = sys.fluxes_vec[0]
     pref = eps ** (h - 1.0)
 
     def rhs(t, w):
@@ -547,7 +523,7 @@ def free_solution_compare(sys: SystemSpec, phi, eps: float, classification,
     if phi_vec is None:
         def phi_vec(t, xs):
             return np.stack([np.asarray(phi(t, [x]), dtype=float) for x in xs])
-    flux = _vector_flux(sys)
+    flux = sys.fluxes_vec[0]
 
     # direct linearized run, original time to eps^h * t_end
     xs = grid.nodes

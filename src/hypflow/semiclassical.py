@@ -346,6 +346,9 @@ def composition_residual(a: SymbolSampler, b: SymbolSampler, eps_ladder,
                          h: float, u_probe: GridFunction) -> CompositionReport:
     """||op(a) op(b) u - op(ab) u|| / ||u|| across the ladder, with the order of
     the leading remainder fitted by log-log regression."""
+    eps_arr = np.asarray(list(eps_ladder), dtype=float)
+    if np.unique(eps_arr).size < 2:
+        raise ValueError("the composition order needs at least two distinct eps values")
     resids = []
     for eps in eps_ladder:
         bu = op_eps_apply(b, u_probe, eps, h)
@@ -363,7 +366,6 @@ def composition_residual(a: SymbolSampler, b: SymbolSampler, eps_ladder,
         num = GridFunction(u_probe.grid, abu.values - direct.values).l2_norm()
         resids.append(num / u_probe.l2_norm())
     resids = np.asarray(resids)
-    eps_arr = np.asarray(list(eps_ladder), dtype=float)
     if np.all(resids > 0):
         order = float(np.polyfit(np.log(eps_arr), np.log(resids), 1)[0])
     else:

@@ -443,6 +443,8 @@ class LadderFit:
 
 def ladder_fit(eps_values, values) -> LadderFit:
     e = np.asarray(eps_values, dtype=float)
+    if np.unique(e).size < 2:
+        raise ValueError("a ladder fit needs at least two distinct eps values")
     v = np.maximum(np.asarray(values, dtype=float), 1e-300)
     lv = np.log(v)
     slope = float(np.polyfit(np.log(e), lv, 1)[0])

@@ -9,7 +9,7 @@ first and second partial derivatives in (t, lambda) at t = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -33,27 +33,43 @@ class Domain:
     periodic: bool = True
 
 
+FD_STEP = 1e-5   # base step of the centered u- and t-differences
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """Fluxes A_j(t,x,u), source F(t,x,u) and their u-derivatives.
 
-    ``fluxes[j](t, x, u)`` returns the real N x N matrix A_j; ``source`` the
-    N-vector F.  Analytic u-derivatives are optional; a centered finite
-    difference with step fd_step*(1+|u|) is used when absent.  The optional
-    ``fluxes_vec``/``source_vec`` evaluate on node batches ``xs (n,d)``,
-    ``us (n,N)`` and are only a performance device for the PDE solver.
+    A system is defined by its node-batched callables: ``fluxes_vec[j](t, xs,
+    us)`` returns the real matrices A_j as an (n, N, N) array and
+    ``source_vec(t, xs, us)`` the vectors F as an (n, N) array, for states
+    ``us`` of shape (n, N) and nodes ``xs`` of shape (n,) in one space
+    dimension and (n, d) otherwise.  Both are required.
+
+    The per-point forms ``fluxes[j](t, x, u)`` (N x N) and ``source(t, x, u)``
+    (N) are derived from them as batches of one unless given.  Analytic
+    u-derivatives are optional; a centered difference with step
+    FD_STEP*(1+|u|) is used when absent.
     """
 
     name: str
     space_dim: int
     state_dim: int
-    fluxes: tuple
-    source: Callable
+    fluxes: tuple | None = None
+    source: Callable | None = None
     du_fluxes: tuple | None = None
     du_source: Callable | None = None
-    fd_step: float = 1e-5
     fluxes_vec: tuple | None = None
     source_vec: Callable | None = None
+
+    def __post_init__(self):
+        if self.fluxes_vec is None or self.source_vec is None:
+            raise ValueError(f"system {self.name!r} needs batched fluxes_vec and source_vec")
+        if self.fluxes is None:
+            object.__setattr__(self, "fluxes", tuple(
+                _batch_of_one(f, self.space_dim) for f in self.fluxes_vec))
+        if self.source is None:
+            object.__setattr__(self, "source", _batch_of_one(self.source_vec, self.space_dim))
 
     def flux(self, j: int, t: float, x, u) -> np.ndarray:
         x = as_vec(x, self.space_dim)
@@ -71,7 +87,7 @@ class SystemSpec:
         u = as_vec(u, self.state_dim)
         if self.du_fluxes is not None:
             return np.asarray(self.du_fluxes[j](t, x, u), dtype=float)
-        return _fd_jacobian(lambda w: self.fluxes[j](t, x, w), u, self.fd_step)
+        return _fd_jacobian(lambda w: self.fluxes[j](t, x, w), u, FD_STEP)
 
     def du_F(self, t: float, x, u) -> np.ndarray:
         """dF/du as an (N,N) matrix, [i,m] = d F_i / d u_m."""
@@ -79,22 +95,32 @@ class SystemSpec:
         u = as_vec(u, self.state_dim)
         if self.du_source is not None:
             return np.asarray(self.du_source(t, x, u), dtype=float)
-        return _fd_jacobian(lambda w: self.source(t, x, w), u, self.fd_step)
+        return _fd_jacobian(lambda w: self.source(t, x, w), u, FD_STEP)
 
-    def dt_flux(self, j: int, t: float, x, u, step: float = 1e-5) -> np.ndarray:
+    def dt_flux(self, j: int, t: float, x, u) -> np.ndarray:
         """Explicit t-derivative of A_j at frozen (x,u), by centered differences."""
         x = as_vec(x, self.space_dim)
         u = as_vec(u, self.state_dim)
-        ap = np.asarray(self.fluxes[j](t + step, x, u), dtype=float)
-        am = np.asarray(self.fluxes[j](t - step, x, u), dtype=float)
-        return (ap - am) / (2.0 * step)
+        ap = np.asarray(self.fluxes[j](t + FD_STEP, x, u), dtype=float)
+        am = np.asarray(self.fluxes[j](t - FD_STEP, x, u), dtype=float)
+        return (ap - am) / (2.0 * FD_STEP)
 
-    def dt_F(self, t: float, x, u, step: float = 1e-5) -> np.ndarray:
+    def dt_F(self, t: float, x, u) -> np.ndarray:
         x = as_vec(x, self.space_dim)
         u = as_vec(u, self.state_dim)
-        fp = np.asarray(self.source(t + step, x, u), dtype=float)
-        fm = np.asarray(self.source(t - step, x, u), dtype=float)
-        return (fp - fm) / (2.0 * step)
+        fp = np.asarray(self.source(t + FD_STEP, x, u), dtype=float)
+        fm = np.asarray(self.source(t - FD_STEP, x, u), dtype=float)
+        return (fp - fm) / (2.0 * FD_STEP)
+
+
+def _batch_of_one(fn_vec: Callable, space_dim: int) -> Callable:
+    """Per-point form fn(t, x, u), for float vectors x and u, of a
+    node-batched callable."""
+    xs_shape = (1,) if space_dim == 1 else (1, space_dim)
+
+    def one(t, x, u):
+        return fn_vec(t, x.reshape(xs_shape), u.reshape(1, -1))[0]
+    return one
 
 
 def _fd_jacobian(fun: Callable, u: np.ndarray, base_step: float) -> np.ndarray:
@@ -380,6 +406,19 @@ def eval_principal_symbol(sys: SystemSpec, phi: ReferenceSolution | Callable,
     return PrincipalSymbolEval(mat, t, x, xi)
 
 
+def _richardson_dt(f: Callable, t: float, step: float):
+    """First and second t-derivatives of f at t: centered differences with
+    steps `step` and `step/2`, combined by one Richardson level.
+
+    Returns (d1, d2, f(t), f(t + step)); f is evaluated five times.
+    """
+    f0 = f(t)
+    samples = [(s, f(t + s), f(t - s)) for s in (step / 2, step)]
+    d1 = [(fp - fm) / (2 * s) for s, fp, fm in samples]
+    d2 = [(fp - 2 * f0 + fm) / (s * s) for s, fp, fm in samples]
+    return (4.0 * d1[0] - d1[1]) / 3.0, (4.0 * d2[0] - d2[1]) / 3.0, f0, samples[1][1]
+
+
 class _BaseField:
     """Shared jet evaluation on top of a `coeffs(t,x,xi)` implementation."""
 
@@ -412,18 +451,9 @@ class _BaseField:
         Richardson level (steps `step` and `step/2`).
         """
         x, xi, lam = omega.x, omega.xi, omega.lam
-        c0 = self.coeffs(t, x, xi)
-
-        def d1(s):
-            return (self.coeffs(t + s, x, xi) - self.coeffs(t - s, x, xi)) / (2 * s)
-
-        def d2(s):
-            return (self.coeffs(t + s, x, xi) - 2 * c0 + self.coeffs(t - s, x, xi)) / (s * s)
-
-        c1 = (4.0 * d1(step / 2) - d1(step)) / 3.0
-        c2 = (4.0 * d2(step / 2) - d2(step)) / 3.0
+        c1, c2, c0, c_step = _richardson_dt(lambda s: self.coeffs(s, x, xi), t, step)
         # noise heuristic: coefficient increments below the roundoff floor
-        incr = np.max(np.abs(self.coeffs(t + step, x, xi) - c0))
+        incr = np.max(np.abs(c_step - c0))
         noise = bool(incr < 1e3 * np.finfo(float).eps * max(1.0, np.max(np.abs(c0))))
         return CharPolyJet(
             P=complex(npoly.polyval(lam, c0)),
@@ -482,9 +512,3 @@ def as_field(sys_or_field, phi: ReferenceSolution | None = None) -> _BaseField:
             raise ValueError("a reference solution is required with a SystemSpec")
         return CharPolyField(sys_or_field, phi)
     raise TypeError(f"cannot build a symbol field from {type(sys_or_field)!r}")
-
-
-def charpoly_jet(sys: SystemSpec, phi: ReferenceSolution, omega: CotangentPoint,
-                 t: float = 0.0, step: float = 1e-4) -> CharPolyJet:
-    """Jet of det(lambda I - A) at (t, omega) for a system linearized at phi."""
-    return CharPolyField(sys, phi).jet(omega, t=t, step=step)

@@ -83,7 +83,7 @@ def _capture_simulate(monkeypatch):
     seen = {}
 
     def fake(*args, **kwargs):
-        seen.update(kwargs)
+        seen.update(kwargs, params=args[3])
         return pde_sim.HadamardReport([], {})
     monkeypatch.setattr(pde_sim, "run_instability_experiment", fake)
     return seen
@@ -113,6 +113,42 @@ def test_config_bad_boolean_is_config_error(capsys, tmp_path, monkeypatch):
                         "--config", str(cfg)], capsys)
     assert code == EXIT_CONFIG and "control" in err
     assert not seen
+
+
+def test_config_values_take_the_option_type(capsys, tmp_path):
+    # alpha and c default to None; their config values must still be floats
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 1\nc = 0.5\n")
+    code, out, _ = run(["classify", "--example", "kgz", "--state", "witness",
+                        "--config", str(cfg)], capsys)
+    assert code == EXIT_OK and "NonSemisimpleTransition" in out
+
+
+def test_config_key_by_option_string(capsys, tmp_path, monkeypatch):
+    # hadamard-alpha is stored in alpha_h
+    seen = _capture_simulate(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("hadamard-alpha = 0.9\n")
+    code, _, _ = run(["simulate", "--example", "burgers1d", "--state", "semisimple",
+                      "--out", str(tmp_path), "--config", str(cfg)], capsys)
+    assert code == EXIT_OK
+    assert seen["params"].alpha == 0.9
+
+
+def test_config_unknown_key_is_config_error(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps-ladr = 1e-2\n")
+    code, _, err = run(["quantize-check", "--out", str(tmp_path),
+                        "--config", str(cfg)], capsys)
+    assert code == EXIT_CONFIG and "eps-ladr" in err
+    assert not (tmp_path / "quantize_check.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["quantize-check"], ["flow", "--T-star", "3"]])
+def test_single_eps_ladder_is_config_error(capsys, tmp_path, command):
+    # a log-log fit needs two distinct eps values
+    code, _, err = run(command + ["--out", str(tmp_path), "--eps-ladder", "1e-2"], capsys)
+    assert code == EXIT_CONFIG and "two distinct eps" in err
 
 
 def test_airy_command_headers_and_wronskian(capsys, tmp_path):

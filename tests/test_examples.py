@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hypflow.classifier import classify
 from hypflow.examples import (burgers1d, burgers2d,
@@ -10,7 +13,8 @@ from hypflow.examples import (burgers1d, burgers2d,
                               model_blocks, van_der_waals)
 from hypflow.pde_sim import SolverConfig, evolve
 from hypflow.semiclassical import Grid1D, GridFunction
-from hypflow.system_model import eval_charpoly, eval_principal_symbol, spectrum
+from hypflow.system_model import (SystemSpec, eval_charpoly,
+                                  eval_principal_symbol, spectrum)
 
 
 def test_registry_gate():
@@ -124,8 +128,6 @@ def test_model_blocks():
     fam_p = model_blocks(+1)
     lp, lm = fam_p.eigenvalues(0.25)
     assert abs(lp - 0.5) < 1e-12 and abs(lm + 0.5) < 1e-12
-    with pytest.raises(ValueError):
-        model_blocks(-1, a_exponent=2)
 
 
 def test_reference_solutions_consistent_at_t0():
@@ -157,3 +159,41 @@ def test_burgers_source_vec_matches_per_node():
         assert got.dtype == np.float64, sname
         ref = np.array([sys.eval_source(0.3, xs[i:i + 1], us[i]) for i in range(n)])
         assert np.array_equal(got, ref), sname
+
+
+_BATCHED_SYSTEMS = {f"{name}/{sname}": bundle.sys for name in list_examples()
+                    for sname, bundle in get_states(name).items()}
+_BATCHED_SYSTEMS["kgz_semilinear"] = kgz_semilinear(0.5)
+_BATCHED_SYSTEMS["burgers2d/callable"] = burgers2d(lambda u: 1.0 + u[..., 1] ** 2,
+                                                   lambda u: (0.0, u[..., 0] ** 2))
+
+
+@pytest.mark.parametrize("name", sorted(_BATCHED_SYSTEMS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), t=st.floats(-1.0, 1.0))
+def test_point_forms_are_rows_of_the_batch(name, data, t):
+    # flux()/eval_source() at one node equal that node's row of the batched call
+    sys = _BATCHED_SYSTEMS[name]
+    n = data.draw(st.integers(1, 6))
+    d, N = sys.space_dim, sys.state_dim
+    xs = data.draw(arrays(float, (n,) if d == 1 else (n, d), elements=st.floats(-3.0, 3.0)))
+    us = data.draw(arrays(float, (n, N), elements=st.floats(-2.0, 2.0)))
+    src = sys.source_vec(t, xs, us)
+    assert src.shape == (n, N)
+    for j in range(d):
+        a = sys.fluxes_vec[j](t, xs, us)
+        assert a.shape == (n, N, N)
+        for i in range(n):
+            assert np.array_equal(sys.flux(j, t, xs[i], us[i]), a[i]), (name, j, i)
+    for i in range(n):
+        assert np.array_equal(sys.eval_source(t, xs[i], us[i]), src[i]), (name, i)
+
+
+def test_system_without_batched_forms_rejected():
+    a1 = lambda t, x, u: np.eye(2)
+    src = lambda t, x, u: np.zeros(2)
+    with pytest.raises(ValueError):
+        SystemSpec("point_only", 1, 2, (a1,), src)
+    with pytest.raises(ValueError):
+        SystemSpec("no_source_vec", 1, 2, (a1,), src,
+                   fluxes_vec=(lambda t, xs, us: np.broadcast_to(np.eye(2), (len(us), 2, 2)),))
