@@ -15,8 +15,6 @@ from .classifier import (ELLIPTIC, NONSEMISIMPLE, PERSISTENT, SEMISIMPLE,
                          SearchRegion)
 from .system_model import Domain, ReferenceSolution, SymbolField, SystemSpec
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-
 
 # ---------------------------------------------------------------------------
 # system factories
@@ -70,22 +68,6 @@ def burgers1d(b: Callable | float = 1.0, F: Callable | tuple = (0.0, 0.0)) -> Sy
         du = (du_a1,)
 
     return SystemSpec("burgers1d", 1, 2, du_fluxes=du, fluxes_vec=(a1,), source_vec=src)
-
-
-def burgers_conservation_fluxes(b_of_u2: Callable) -> tuple[Callable, Callable]:
-    """Fluxes (f1, f2) of the conservation form when b depends on u2 only:
-    f1 = u1^2/2 - int_0^{u2} y b(y)^2 dy, f2 = u1 u2."""
-    def f1(u):
-        u2 = u[1]
-        ys = 0.5 * u2 * (_GL_NODES + 1.0)
-        ws = 0.5 * u2 * _GL_WEIGHTS
-        return 0.5 * u[0] ** 2 - float(np.sum(ws * ys * np.asarray(
-            [b_of_u2(y) ** 2 for y in ys])))
-
-    def f2(u):
-        return u[0] * u[1]
-
-    return f1, f2
 
 
 def burgers2d(b: Callable | float = 1.0, F: Callable | tuple = (0.0, 0.0)) -> SystemSpec:

@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hypflow.classifier import classify
-from hypflow.examples import (burgers1d, burgers2d,
-                              burgers_conservation_fluxes,
-                              degenerate_symbol_ex_not, get_state, get_states,
-                              kgz, kgz_charpoly, kgz_semilinear,
-                              kgz_semilinear_conjugation, list_examples,
-                              model_blocks, van_der_waals)
+from hypflow.examples import (burgers1d, burgers2d, degenerate_symbol_ex_not,
+                              get_state, get_states, kgz, kgz_charpoly,
+                              kgz_semilinear, kgz_semilinear_conjugation,
+                              list_examples, model_blocks, van_der_waals)
 from hypflow.pde_sim import SolverConfig, evolve
 from hypflow.semiclassical import Grid1D, GridFunction
 from hypflow.system_model import (SystemSpec, eval_charpoly,
@@ -65,17 +63,6 @@ def test_kgz_requires_subsonic():
         kgz(1.0, 1.0)
     with pytest.raises(ValueError):
         kgz_semilinear(-1.0)
-
-
-def test_conservation_fluxes():
-    b = lambda y: 1.0 + y ** 2
-    f1, f2 = burgers_conservation_fluxes(b)
-    u = np.array([0.7, 0.4])
-    # int_0^w y (1+y^2)^2 dy = w^2/2 + w^4/2 + w^6/6
-    w = u[1]
-    exact = 0.5 * u[0] ** 2 - (w ** 2 / 2 + w ** 4 / 2 + w ** 6 / 6)
-    assert abs(f1(u) - exact) < 1e-12
-    assert f2(u) == u[0] * u[1]
 
 
 def test_kgz_conjugation_roundtrip():

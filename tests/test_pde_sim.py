@@ -289,6 +289,50 @@ def test_free_solution_smoke_and_sanity():
     assert bad.rel_error > 0.1
 
 
+_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_ZERO_PHI = ReferenceSolution(initial=lambda x: np.zeros(2),
+                              domain=Domain(2 * np.pi, 1),
+                              value=lambda t, x: np.zeros(2))
+
+
+def _zero_phi_vec(t, xs):
+    return np.zeros((np.atleast_1d(xs).size, 2))
+
+
+def _scaled_j(name, scale):
+    """A1 = scale(t, x) J with no source."""
+    return SystemSpec(
+        name, 1, 2, (lambda t, x, u: scale(t, x[0]) * _J,),
+        lambda t, x, u: np.zeros(2),
+        fluxes_vec=(lambda t, xs, us:
+                    (scale(t, xs) * np.ones(us.shape[0]))[:, None, None] * _J,),
+        source_vec=lambda t, xs, us: np.zeros((us.shape[0], 2)))
+
+
+def test_free_solution_frozen_synthesis_pinned():
+    # criterion-9 inputs at eps 1e-2; reference values from assembling each
+    # mode's flow matrix exp(-i eps t xi_k A1(x)) explicitly
+    kw = dict(e_vec=(1.0, 1j), phi_vec=_zero_phi_vec)
+    const = _scaled_j("const", lambda t, x: 1.0)
+    rep = free_solution_compare(const, _ZERO_PHI, 1e-2, None, 2.0, dt_safety=0.06, **kw)
+    assert abs(rep.rel_error - 6.263250886619779e-10) <= 1e-13
+    slow = _scaled_j("slow", lambda t, x: 1.0 + 0.3 * np.sin(x))
+    rep = free_solution_compare(slow, _ZERO_PHI, 1e-2, None, 2.0, **kw)
+    assert rep.rel_error == pytest.approx(0.005774026682879661, rel=1e-9, abs=0.0)
+
+
+def test_free_solution_time_dependent_flux():
+    # A1 = (1 + 20 t) J is not frozen, so the mode flows are stepped by RK4,
+    # and the linearized step must follow the speed at the end of the run,
+    # four times the speed at t = 0
+    grow = _scaled_j("grow", lambda t, x: 1.0 + 20.0 * t)
+    kw = dict(e_vec=(1.0, 1j), phi_vec=_zero_phi_vec)
+    rep = free_solution_compare(grow, _ZERO_PHI, 0.1, None, 1.5, **kw)
+    assert rep.rel_error < 1e-3
+    bad = free_solution_compare(grow, _ZERO_PHI, 0.1, None, 1.5, sign=-1.0, **kw)
+    assert bad.rel_error > 0.5
+
+
 def test_free_solution_raises_on_linearized_breakdown():
     # a flux that turns NaN for t > 0 must stop the comparison, not leave a
     # finite error measured against the datum
