@@ -1,8 +1,6 @@
 """Airy function Ai, the 2x2 vector Airy fundamental solution, and envelope checks.
 
-Ai is evaluated from scratch: Maclaurin series up to |z| = 6 (Kahan-compensated,
-interleaved summation to tame cancellation), Poincare asymptotics beyond, and
-the three-sector connection identity near the negative real axis.  The vector
+Ai and Ai' come from scipy.special.airy on |z| <= 40.  The vector
 solution Z(tau;t) of Z' + [[0,1],[t,0]] Z = 0 is assembled from Ai at rotated
 arguments; its Wronskian is the constant (-sqrt(3)+i)/(4 pi), which serves as a
 golden value throughout the tests.
@@ -15,16 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 J = cmath.exp(2j * math.pi / 3)
-AI_ZERO = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)    # Ai(0)
-AIP_ZERO = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)  # Ai'(0)
 WRONSKIAN_CONST = (-math.sqrt(3.0) + 1j) / (4.0 * math.pi)
 
-_SERIES_RADIUS = 6.0     # compensated double-precision series
-_SERIES_RADIUS_EXT = 9.0  # extended-precision series; asymptotics beyond
 _MAX_ABS = 40.0
-_SECTOR = 2.0 * math.pi / 3.0 + 0.15
 
 
 @dataclass(frozen=True)
@@ -32,7 +26,6 @@ class AiryValue:
     z: complex
     ai: complex
     aip: complex
-    method: str
 
 
 @dataclass(frozen=True)
@@ -44,146 +37,13 @@ class VectorAiry:
     Z: np.ndarray
 
 
-def _kahan_add(s, comp, term):
-    y = term - comp
-    tmp = s + y
-    comp = (tmp - s) - y
-    return tmp, comp
-
-
-def _ai_series(z: complex) -> tuple[complex, complex]:
-    """Maclaurin series for (Ai, Ai'), summed with compensation.
-
-    Terms of the two underlying solutions interleave with alternating sign
-    pattern on the positive axis, which keeps partial sums near the size of
-    the largest single term instead of the much larger separate sums.
-    """
-    s_ai, c_ai = 0.0 + 0.0j, 0.0 + 0.0j
-    s_aip, c_aip = 0.0 + 0.0j, 0.0 + 0.0j
-    a = [AI_ZERO, AIP_ZERO, 0.0]  # coefficients a_n, a_{n+1}, a_{n+2}
-    zn = 1.0 + 0.0j               # z^n
-    floor = 1e-30
-    biggest = 0.0
-    n = 0
-    nterms = 0
-    while n < 402:
-        an = a[0]
-        term = an * zn
-        if an != 0.0:
-            s_ai, c_ai = _kahan_add(s_ai, c_ai, term)
-            if n >= 1:
-                s_aip, c_aip = _kahan_add(s_aip, c_aip, n * an * zn / z if z != 0 else 0.0)
-            nterms += 1
-            biggest = max(biggest, abs(term))
-            if nterms >= 80 and abs(term) < floor * max(1.0, biggest):
-                break
-        a = [a[1], a[2], a[0] / ((n + 2.0) * (n + 3.0))]
-        zn *= z
-        n += 1
-    if z == 0:
-        s_aip = AIP_ZERO
-    return s_ai, s_aip
-
-
-def _ai_series_ext(z: complex) -> tuple[complex, complex]:
-    """Maclaurin series in 80-bit extended precision.
-
-    Between |z| = 6 and 9 the size of the largest term (up to ~1e6) times the
-    double-precision ulp exceeds the 1e-12 accuracy the envelope checks need;
-    extended precision buys the missing digits at a modest cost.
-    """
-    zl = np.clongdouble(z)
-    a0 = np.longdouble(AI_ZERO)
-    a1 = np.longdouble(AIP_ZERO)
-    a = [np.clongdouble(a0), np.clongdouble(a1), np.clongdouble(0.0)]
-    s_ai = np.clongdouble(0.0)
-    s_aip = np.clongdouble(0.0)
-    zn = np.clongdouble(1.0)
-    biggest = np.longdouble(0.0)
-    n = 0
-    nterms = 0
-    while n < 402:
-        an = a[0]
-        if an != 0.0:
-            term = an * zn
-            s_ai += term
-            if n >= 1:
-                s_aip += n * an * zn / zl if z != 0 else 0.0
-            nterms += 1
-            biggest = max(biggest, abs(term))
-            if nterms >= 80 and abs(term) < np.longdouble(1e-34) * max(np.longdouble(1.0), biggest):
-                break
-        a = [a[1], a[2], a[0] / np.longdouble((n + 2.0) * (n + 3.0))]
-        zn = zn * zl
-        n += 1
-    if z == 0:
-        s_aip = np.clongdouble(AIP_ZERO)
-    return complex(s_ai), complex(s_aip)
-
-
-def _asym_sums(zeta: complex, kmax: int = 24) -> tuple[complex, complex]:
-    """Truncated asymptotic sums sum (-1)^k u_k zeta^-k and the v_k analogue."""
-    u = 1.0
-    su = 1.0 + 0.0j
-    sv = 1.0 + 0.0j
-    invz = 1.0 / zeta
-    pw = 1.0 + 0.0j
-    last = abs(pw)
-    for k in range(0, kmax):
-        unew = u * (3 * k + 0.5) * (3 * k + 1.5) * (3 * k + 2.5) / (54.0 * (k + 1) * (k + 0.5))
-        pw = pw * invz
-        tu = unew * abs(pw)
-        if k >= 8 and tu > last:
-            break  # smallest-term truncation
-        last = tu
-        sgn = -1.0 if (k + 1) % 2 else 1.0
-        vnew = -(6 * (k + 1) + 1.0) / (6 * (k + 1) - 1.0) * unew
-        su += sgn * unew * pw
-        sv += sgn * vnew * pw
-        u = unew
-    return su, sv
-
-
-def _ai_asym(z: complex) -> tuple[complex, complex]:
-    """Principal-sector asymptotics, |arg z| <= 2 pi/3 (plus a small margin)."""
-    zeta = (2.0 / 3.0) * z ** 1.5
-    su, sv = _asym_sums(zeta)
-    pref = cmath.exp(-zeta) / (2.0 * math.sqrt(math.pi))
-    ai = pref * su / z ** 0.25
-    aip = -pref * sv * z ** 0.25
-    return ai, aip
-
-
 def airy_ai(z: complex) -> AiryValue:
-    """Ai(z) and Ai'(z) for |z| <= 40.
-
-    Power series up to |z| = 6 in compensated double precision and up to
-    |z| = 9 in extended precision; Poincare asymptotics beyond, where their
-    smallest term is at roundoff.  Arguments outside the principal sector are
-    rotated through Ai(z) = -j^-1 Ai(j^-1 z) - j Ai(j z), j = e^{2 i pi/3}.
-    """
+    """Ai(z) and Ai'(z) from scipy.special.airy (AMOS); |z| > 40 raises ValueError."""
     z = complex(z)
     if abs(z) > _MAX_ABS:
         raise ValueError(f"airy_ai documented for |z| <= {_MAX_ABS}, got |z| = {abs(z):g}")
-    if abs(z) <= _SERIES_RADIUS:
-        ai, aip = _ai_series(z)
-        return AiryValue(z, ai, aip, "series")
-    if abs(z) <= _SERIES_RADIUS_EXT and abs(cmath.phase(z)) >= math.pi / 3.0 - 0.05:
-        # no exponential cancellation once Re z^{3/2} <= 0: the extended-
-        # precision series carries the mid band where asymptotics are coarse
-        ai, aip = _ai_series_ext(z)
-        return AiryValue(z, ai, aip, "series")
-    if abs(cmath.phase(z)) <= _SECTOR:
-        ai, aip = _ai_asym(z)
-        return AiryValue(z, ai, aip, "asymptotic")
-    # connection identity: both rotated arguments fall in the principal sector
-    zp = z * J
-    zm = z / J
-    ap = _ai_asym(zp) if abs(cmath.phase(zp)) <= _SECTOR else _ai_series_ext(zp)
-    am = _ai_asym(zm) if abs(cmath.phase(zm)) <= _SECTOR else _ai_series_ext(zm)
-    ai = -(1.0 / J) * am[0] - J * ap[0]
-    aip = -(1.0 / J) ** 2 * am[1] - J ** 2 * ap[1]
-    return AiryValue(z, ai, aip, "asymptotic")
+    ai, aip, _, _ = special.airy(z)
+    return AiryValue(z, complex(ai), complex(aip))
 
 
 def wronskian(tau: float) -> complex:

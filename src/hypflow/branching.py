@@ -3,9 +3,8 @@
 Near a transition point the characteristic polynomial factors as
 (lambda - mu)^2 = -(t - tau_star) e(t,x,xi,lambda): mu_star solves
 dP/dlambda = 0, tau_star solves P(mu_star) = 0 in t, and the e-factor is a
-ratio of two explicit integrals of jet entries.  From these come the branch
-eigenvalues, the degeneracy-dependent growth rates gamma+- and the growth
-envelopes exp(gamma ((t - t*)_+^{l+1} - (tau - t*)_+^{l+1})).
+ratio of two explicit integrals of jet entries.  From these come the
+degeneracy-dependent growth rates gamma+- and the growth envelopes exp(gamma ((t - t*)_+^{l+1} - (tau - t*)_+^{l+1})).
 """
 
 from __future__ import annotations
@@ -169,16 +168,6 @@ def compute_branch_data(sys, phi, x, xi, lam_init=None, tol: float = 1e-11) -> B
                       negative_tau_flag=bool(tau < -10 * tol))
 
 
-def branch_eigenvalues(branch: BranchData, t: float, x=0.0, xi=0.0) -> tuple[complex, complex]:
-    """lambda+- = mu +- i((t-tau*)_+ e0)^(1/2) past the transition, real before it."""
-    dt = t - branch.tau_star
-    if dt >= 0.0:
-        s = 1j * np.sqrt(dt * branch.e0)
-    else:
-        s = np.sqrt(-dt * branch.e0)
-    return complex(branch.mu + s), complex(branch.mu - s)
-
-
 def _hermitian_sup(field, t, x, xi, lam0):
     a = field.symbol(t, x, xi).astype(complex)
     m = 1j * (a - lam0 * np.eye(a.shape[0]))
@@ -249,15 +238,3 @@ def eval_growth(env: GrowthEnvelope, gamma_choice: str, tau: float, t: float,
     ts = env.t_star_at(x, xi)
     p = env.ell + 1.0
     return float(np.exp(g * (max(t - ts, 0.0) ** p - max(tau - ts, 0.0) ** p)))
-
-
-def make_t_star(sys, phi, x0, eps: float, h: float, xi0=None):
-    """Transition time t*(eps,x,xi) = eps^-h theta*(eps^{1-h} x, xi), theta*(y,xi) = tau*(x0+y, xi)."""
-    field = as_field(sys, phi)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-
-    def t_star(x, xi):
-        y = eps ** (1.0 - h) * np.atleast_1d(np.asarray(x, dtype=float))
-        return eps ** (-h) * max(solve_tau_star(field, None, x0 + y, xi), 0.0)
-
-    return t_star

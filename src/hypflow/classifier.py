@@ -86,15 +86,6 @@ def check_ellipticity(sys, phi, x, xi, tol: float = 1e-6) -> Optional[CotangentP
     return None
 
 
-def check_nonsemisimple_transition(jet: CharPolyJet, tol: float = 1e-8) -> bool:
-    """Coalescence conditions: P_lam = 0, P_lamlam != 0 and P_lamlam * P_t > 0."""
-    if abs(jet.P) > tol or abs(jet.omega.lam.imag) > tol:
-        raise ValueError("jet must be taken at a real root of P")
-    p_ll = np.real(jet.P_lamlam)
-    p_t = np.real(jet.P_t)
-    return (abs(jet.P_lam) <= tol and abs(p_ll) > tol and p_ll * p_t > tol * tol)
-
-
 def _semisimple_rank_ok(a: np.ndarray, lam0: float, tol: float) -> bool:
     """rank(A - lam0 I) == N - 2, numerically via singular values."""
     n = a.shape[0]
@@ -294,50 +285,3 @@ def discriminant_jet_crosscheck(field, x, xi, t_step: float = 1e-3) -> Discrimin
     scale2 = max(abs(d2_fd), abs(d2_jet), 1.0)
     return DiscriminantReport(abs(d1_fd - d1_jet) / scale1, abs(d2_fd - d2_jet) / scale2,
                               d1_fd, d1_jet, d2_fd, d2_jet)
-
-
-@dataclass
-class TransitionCurve:
-    xs: np.ndarray
-    times: np.ndarray
-    skipped: np.ndarray  # bool mask of Newton failures
-
-    def fit_quadratic_coefficient(self) -> float:
-        """Leading coefficient of s(x) fitted on the basis (x^2, x^3, x^4)."""
-        m = ~self.skipped
-        x = self.xs[m]
-        basis = np.column_stack([x ** 2, x ** 3, x ** 4])
-        coef, *_ = np.linalg.lstsq(basis, self.times[m], rcond=None)
-        return float(coef[0])
-
-
-def find_transition_point_curve(family, x_range, tol: float = 1e-11,
-                                maxiter: int = 60) -> TransitionCurve:
-    """Newton-solve the eigenvalue-crossing time for each x in the range.
-
-    `family` must expose crossing_function(t, x) whose zero in t is the
-    transition time (the built-in degenerate example provides the deflated
-    discriminant, removing the trivial root at t = 0).
-    """
-    g = family.crossing_function if hasattr(family, "crossing_function") else family
-    xs = np.asarray(list(x_range), dtype=float)
-    times = np.zeros_like(xs)
-    skipped = np.zeros(xs.shape, dtype=bool)
-    h = 1e-7
-    for i, x in enumerate(xs):
-        t = 0.0
-        ok = False
-        for _ in range(maxiter):
-            gv = g(t, x)
-            if abs(gv) <= tol:
-                ok = True
-                break
-            gp = (g(t + h, x) - g(t - h, x)) / (2 * h)
-            if gp == 0.0 or not np.isfinite(gp):
-                break
-            t -= gv / gp
-            if not np.isfinite(t) or abs(t) > 1e6:
-                break
-        times[i] = t if ok else np.nan
-        skipped[i] = not ok
-    return TransitionCurve(xs, times, skipped)

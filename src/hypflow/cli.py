@@ -303,10 +303,10 @@ def cmd_simulate(args) -> int:
                                     T_star=args.T_star if args.T_star else
                                     1.5 * args.K / gamma,
                                     h=h, gamma_minus=gamma)
+    e_vec = target.e_vec if target.e_vec is not None else np.eye(target.sys.state_dim)[0]
     report = pde_sim.run_instability_experiment(
         target.sys, target.phi, None if control else cl, params, ladder,
-        xi0=float(target.xi0[0]), x0=float(target.x0[0]),
-        e_vec=target.e_vec if target.e_vec is not None else (1.0, 0.0),
+        xi0=float(target.xi0[0]), x0=float(target.x0[0]), e_vec=e_vec,
         phi_traj_vec=target.phi_traj_vec, control=control,
         filter_strength=args.filter_strength, length=args.length,
         dump_dir=_out_path(args, "states") if args.dump_states and args.out else None)

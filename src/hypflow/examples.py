@@ -1,6 +1,5 @@
-"""Registry of the example systems: Burgers (1D/2D), Van der Waals gas dynamics,
-Klein-Gordon-wave couplings, the degenerate crossing family and the canonical
-non-semisimple model blocks, each with reference states that realize the
+"""Registry of the example systems: Burgers (1D/2D), Van der Waals gas dynamics
+and Klein-Gordon-wave couplings, each with reference states that realize the
 documented regimes at the origin."""
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import numpy as np
 
 from .classifier import (ELLIPTIC, NONSEMISIMPLE, PERSISTENT, SEMISIMPLE,
                          SearchRegion)
-from .system_model import Domain, ReferenceSolution, SymbolField, SystemSpec
+from .system_model import Domain, ReferenceSolution, SystemSpec
 
 
 # ---------------------------------------------------------------------------
@@ -155,80 +154,6 @@ def kgz(alpha: float, c: float) -> SystemSpec:
                       fluxes_vec=(a1,), source_vec=src)
 
 
-def kgz_charpoly(lam, u, v, alpha, c):
-    """Closed-form quartic (lam^2 - c^2)(lam^2 - 1) - alpha^2 lam^2 + 2 alpha c (v + u lam)."""
-    return (lam ** 2 - c ** 2) * (lam ** 2 - 1.0) - alpha ** 2 * lam ** 2 \
-        + 2.0 * alpha * c * (v + u * lam)
-
-
-def kgz_semilinear(c: float) -> SystemSpec:
-    """The semilinear conjugate of the alpha = 0 system.
-
-    In characteristic variables u~ = u + v, v~ = u - v, n~ = (n + m) +
-    a u~^2 + b v~^2, m~ = (n - m) + b u~^2 + a v~^2 with a = 1/(2(1-c)),
-    b = -1/(2(1+c)), the quadratic x-derivative forcing cancels exactly and
-    the flux becomes the constant diag(1, -1, c, -c); the source is cubic
-    through the recovered density n.
-    """
-    if abs(c) == 1.0:
-        raise ValueError("|c| = 1 not allowed")
-    amat = np.diag([1.0, -1.0, c, -c])
-    omc2 = 1.0 - c * c
-
-    def n_of(w):
-        return 0.5 * (w[..., 2] + w[..., 3]) \
-            - c * (w[..., 0] ** 2 + w[..., 1] ** 2) / (2.0 * omc2)
-
-    def a1(t, xs, ws):
-        return np.broadcast_to(amat, (ws.shape[0], 4, 4))
-
-    def src(t, xs, ws):
-        n = n_of(ws)
-        out = np.empty((ws.shape[0], 4))
-        out[:, 0] = -(n + 1.0) * ws[:, 1]
-        out[:, 1] = (n + 1.0) * ws[:, 0]
-        uv = 2.0 * (n + 1.0) * ws[:, 0] * ws[:, 1] / omc2
-        out[:, 2] = -uv
-        out[:, 3] = uv
-        return out
-
-    return SystemSpec("kgz_semilinear", 1, 4, fluxes_vec=(a1,), source_vec=src)
-
-
-def kgz_semilinear_conjugation(state: np.ndarray, c: float,
-                               inverse: bool = False) -> np.ndarray:
-    """Change of variables between (u, v, n, m) and (u~, v~, n~, m~).
-
-    Forward: u~ = u + v, v~ = u - v, n~ = (n + m) + a u~^2 + b v~^2,
-    m~ = (n - m) + b u~^2 + a v~^2, a = 1/(2(1-c)), b = -1/(2(1+c)).
-    Only defined for the alpha = 0 system.
-    """
-    if abs(c) == 1.0:
-        raise ValueError("|c| = 1 not allowed")
-    a = 1.0 / (2.0 * (1.0 - c))
-    b = -1.0 / (2.0 * (1.0 + c))
-    w = np.asarray(state, dtype=float)
-    squeeze = (w.ndim == 1)
-    w = np.atleast_2d(w)
-    out = np.empty_like(w)
-    if not inverse:
-        ut = w[:, 0] + w[:, 1]
-        vt = w[:, 0] - w[:, 1]
-        out[:, 0] = ut
-        out[:, 1] = vt
-        out[:, 2] = (w[:, 2] + w[:, 3]) + a * ut ** 2 + b * vt ** 2
-        out[:, 3] = (w[:, 2] - w[:, 3]) + b * ut ** 2 + a * vt ** 2
-    else:
-        ut, vt = w[:, 0], w[:, 1]
-        p = w[:, 2] - a * ut ** 2 - b * vt ** 2
-        q = w[:, 3] - b * ut ** 2 - a * vt ** 2
-        out[:, 0] = 0.5 * (ut + vt)
-        out[:, 1] = 0.5 * (ut - vt)
-        out[:, 2] = 0.5 * (p + q)
-        out[:, 3] = 0.5 * (p - q)
-    return out[0] if squeeze else out
-
-
 def symmetric_control() -> SystemSpec:
     """Symmetric (hence hyperbolic) 2x2 system used as the stable control."""
     def a1(t, xs, us):
@@ -240,70 +165,6 @@ def symmetric_control() -> SystemSpec:
         return out
 
     return SystemSpec("symmetric_control", 1, 2, fluxes_vec=(a1,), source_vec=_zero_source)
-
-
-# ---------------------------------------------------------------------------
-# closed-form symbol families
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DegenerateCrossingFamily:
-    """Symbol xi [[0,1],[g,0]], g = x^2 t - t^2 + t^3 a(x): eigenvalue crossing
-    along a curve s(x) = x^2 + O(x^3), with the trivial crossing at t = 0
-    deflated out of the Newton target."""
-
-    a: Callable | float = 0.0
-
-    def a_val(self, x: float) -> float:
-        return float(self.a(x)) if callable(self.a) else float(self.a)
-
-    def g(self, t: float, x: float) -> float:
-        return x * x * t - t * t + t ** 3 * self.a_val(x)
-
-    def crossing_function(self, t: float, x: float) -> float:
-        # g/t: removes the root shared by every x
-        return x * x - t + t * t * self.a_val(x)
-
-    def symbol(self, t, x, xi):
-        x = float(np.atleast_1d(x)[0])
-        xi = float(np.atleast_1d(xi)[0])
-        return xi * np.array([[0.0, 1.0], [self.g(t, x), 0.0]])
-
-    def field(self) -> SymbolField:
-        return SymbolField(lambda t, x, xi: self.symbol(t, x, xi), 1, 2,
-                           name="degenerate-crossing")
-
-    def eigenvalues(self, t, x, xi):
-        root = complex(self.g(t, x)) ** 0.5
-        return xi * root, -xi * root
-
-
-def degenerate_symbol_ex_not(a: Callable | float = 0.0) -> DegenerateCrossingFamily:
-    return DegenerateCrossingFamily(a)
-
-
-@dataclass
-class ModelBlockFamily:
-    """Canonical non-semisimple block xi [[0,1],[sign t, 0]]; the negative
-    sign branches into non-real, non-differentiable eigenvalues."""
-
-    sign: int = -1
-
-    def symbol(self, t, x, xi):
-        xi = float(np.atleast_1d(xi)[0])
-        return xi * np.array([[0.0, 1.0], [self.sign * t, 0.0]])
-
-    def field(self) -> SymbolField:
-        return SymbolField(lambda t, x, xi: self.symbol(t, x, xi), 1, 2,
-                           name=f"model-block({self.sign:+d})")
-
-    def eigenvalues(self, t, xi=1.0):
-        root = complex(self.sign * t) ** 0.5
-        return xi * root, -xi * root
-
-
-def model_blocks(sign: int = -1) -> ModelBlockFamily:
-    return ModelBlockFamily(sign)
 
 
 # ---------------------------------------------------------------------------

@@ -398,6 +398,9 @@ def run_instability_experiment(sys: SystemSpec, phi, classification,
     if not control and classification is not None and \
             classification.regime in (PERSISTENT, INDETERMINATE):
         raise ValueError(f"no instability experiment in regime {classification.regime}")
+    if len(e_vec) != sys.state_dim:
+        raise ValueError(f"e_vec has {len(e_vec)} components but system {sys.name!r} "
+                         f"has state dimension {sys.state_dim}")
     h = params.h
     ell = params.ell
     gamma = params.gamma_minus
@@ -510,18 +513,19 @@ class FreeSolutionReport:
 
 
 def free_solution_compare(sys: SystemSpec, phi, eps: float, classification,
-                          t_end: float, *, xi0: float = 1.0, x0: float = 0.0,
+                          t_end: float, *, phi_vec: Callable,
+                          xi0: float = 1.0, x0: float = 0.0,
                           e_vec=(1.0,), length: float = 2.0 * np.pi,
                           nx_coarse: int = 128, dt_safety: float = 0.25,
                           flow_steps: int = 1200, delta: float = 1.0,
-                          sign: float = 1.0,
-                          phi_vec: Callable | None = None) -> FreeSolutionReport:
+                          sign: float = 1.0) -> FreeSolutionReport:
     """Relative error between the linearized evolution of a wave packet and the
     action of the quantized symbolic flow op_eps(S(0;t_end)) on the datum.
 
     Elliptic frame (ell = 0): the advected symbol is A(eps t, x0 + x, xi) with
     Q = Id, mu = 0.  `sign=-1` deliberately integrates the flow of -A* as a
-    detection sanity check.
+    detection sanity check.  The reference solution is sampled only through
+    phi_vec(t, xs) -> (n, N); `phi` is not read.
     """
     if classification is not None and classification.ell not in (0.0, None):
         raise NotImplementedError("free-solution comparison implemented for the elliptic frame")
@@ -533,9 +537,6 @@ def free_solution_compare(sys: SystemSpec, phi, eps: float, classification,
                           e_vec=np.asarray(e_vec, dtype=complex))
     v0 = build_wavepacket(spec, grid, frame="rescaled")
 
-    if phi_vec is None:
-        def phi_vec(t, xs):
-            return np.stack([np.asarray(phi(t, [x]), dtype=float) for x in xs])
     flux = sys.fluxes_vec[0]
     xs = grid.nodes
     tau_end = eps ** h * t_end

@@ -92,23 +92,6 @@ def load_grid_function(path: str) -> GridFunction:
     return GridFunction(Grid1D(int(n), length, x_left), data.astype(complex))
 
 
-def grid_function_to_csv(u: GridFunction, path: str, header_lines: Sequence[str] = ()) -> None:
-    xs = u.grid.nodes
-    with open(path, "w") as f:
-        for line in header_lines:
-            f.write(f"# {line}\n")
-        cols = ["x"]
-        for c in range(u.n_components):
-            cols += [f"re_{c}", f"im_{c}"]
-        f.write(",".join(cols) + "\n")
-        for i, x in enumerate(xs):
-            row = [f"{x:.17g}"]
-            for c in range(u.n_components):
-                z = u.values[i, c]
-                row += [f"{z.real:.17g}", f"{z.imag:.17g}"]
-            f.write(",".join(row) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # symbols and quantization
 # ---------------------------------------------------------------------------
@@ -216,16 +199,6 @@ def sobolev_norm(u: GridFunction, s: float) -> float:
     return eps_sobolev_norm(u, s, 1.0, 1.0)
 
 
-def dilate(u: GridFunction, eps: float, h: float) -> GridFunction:
-    """L2-isometric dilation (d_eps u)(x) = eps^{h/2} u(eps^h x).
-
-    On a periodic grid this is the same sample vector scaled by eps^{h/2} and
-    reinterpreted on a grid of length L / eps^h.
-    """
-    g = Grid1D(u.grid.n, u.grid.length / eps ** h, u.grid.x_left / eps ** h)
-    return GridFunction(g, eps ** (h / 2.0) * u.values)
-
-
 # ---------------------------------------------------------------------------
 # wave packets
 # ---------------------------------------------------------------------------
@@ -308,27 +281,6 @@ def build_wavepacket(spec: WavePacketSpec, grid: Grid1D,
         gf = GridFunction(grid, vals)
         vals = op_eps_apply(spec.q_inv, gf, spec.eps, spec.h).values
     return GridFunction(grid, spec.eps ** spec.K * np.real(vals).astype(complex))
-
-
-def blend_symbol_to_identity(q_fn: Callable, delta: float, n_dim: int,
-                             check_points: int = 64) -> SymbolSampler:
-    """Globalize a locally defined matrix symbol by blending it to the identity
-    outside the delta-ball; invertibility asserted by det sampling."""
-    eye = np.eye(n_dim)
-
-    def fn(x, xi, eps=None):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        sig = smooth_cutoff(x / delta, inner=0.5, outer=1.0)
-        out = np.empty((x.size, n_dim, n_dim), dtype=complex)
-        for i, (xv, sv) in enumerate(zip(x, sig)):
-            out[i] = sv * (np.asarray(q_fn(xv, xi)) - eye) + eye
-        return out
-
-    xs = np.linspace(-delta, delta, check_points)
-    dets = np.linalg.det(fn(xs, 0.0))
-    if np.min(np.abs(dets)) < 1e-8:
-        raise ValueError("blended symbol loses invertibility inside the ball")
-    return SymbolSampler(fn, order=0, x_dependent=True, matrix=True, name="blended-Q")
 
 
 # ---------------------------------------------------------------------------

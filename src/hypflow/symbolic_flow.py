@@ -1,9 +1,9 @@
-"""Symbolic flow dS/dt + i eps^(h-1) A* S = 0 along bicharacteristics.
+"""Symbolic flow dS/dt + i eps^(h-1) A* S = 0 at a fixed phase-space label.
 
-Provides the building blocks of the growth-envelope verification: the
-bicharacteristic frame, the 2x2 reduction of the coalescing pair, assembly of
-the rescaled advected symbol A*, adaptive matrix RK4 integration with flow and
-Liouville diagnostics, and the upper/lower envelope bound reports.
+Provides the building blocks of the growth-envelope verification: the 2x2
+reduction of the coalescing pair, assembly of the rescaled advected symbol A*
+at the label (x, xi), adaptive matrix RK4 integration with flow and Liouville
+diagnostics, and the upper/lower envelope bound reports.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import scipy.linalg
 
 from .branching import GrowthEnvelope, eval_growth
 from .classifier import scales_for_ell
-from .system_model import as_field, sort_spectrum
+from .system_model import as_field
 
 
 @dataclass
@@ -50,86 +50,6 @@ class FlowConfig:
     @property
     def T_eps(self) -> float:
         return (self.T_star * abs(math.log(self.eps))) ** (1.0 / (1.0 + self.ell))
-
-
-@dataclass
-class BicharTrajectory:
-    """Dense-output bicharacteristics (x*, xi*)(t) from cubic Hermite data."""
-
-    times: np.ndarray
-    states: np.ndarray   # (m, 2d)
-    derivs: np.ndarray   # (m, 2d)
-    dim: int
-
-    def __call__(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        ts = self.times
-        t = float(np.clip(t, ts[0], ts[-1]))
-        i = int(np.searchsorted(ts, t, side="right") - 1)
-        i = min(max(i, 0), ts.size - 2)
-        h = ts[i + 1] - ts[i]
-        s = (t - ts[i]) / h
-        y0, y1 = self.states[i], self.states[i + 1]
-        f0, f1 = self.derivs[i], self.derivs[i + 1]
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        y = h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
-        return y[:self.dim], y[self.dim:]
-
-
-def integrate_bicharacteristics(mu_sampler: Callable, eps: float, h: float,
-                                t_span: tuple[float, float], x, xi,
-                                grad: Callable | None = None,
-                                n_steps: int = 400,
-                                fd_step: float = 1e-6) -> BicharTrajectory:
-    """RK4 solution of dx*/dt = -d_xi mu, dxi*/dt = eps^(1-h) d_x mu.
-
-    The symbol is evaluated at (t, x0-shifted frame handled by the caller):
-    mu_sampler(t, x, xi) with x already meaning x0 + eps^(1-h) x*.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    d = x.size
-    epsp = eps ** (1.0 - h)
-
-    def gradient(t, xs, xis):
-        if grad is not None:
-            gx, gxi = grad(t, xs, xis)
-            return np.atleast_1d(np.asarray(gx, float)), np.atleast_1d(np.asarray(gxi, float))
-        gx = np.zeros(d)
-        gxi = np.zeros(d)
-        for j in range(d):
-            e = np.zeros(d); e[j] = fd_step
-            gx[j] = (mu_sampler(t, xs + e, xis) - mu_sampler(t, xs - e, xis)) / (2 * fd_step)
-            gxi[j] = (mu_sampler(t, xs, xis + e) - mu_sampler(t, xs, xis - e)) / (2 * fd_step)
-        return gx, gxi
-
-    def rhs(t, y):
-        xs, xis = y[:d], y[d:]
-        gx, gxi = gradient(t, xs, xis)
-        return np.concatenate([-gxi, epsp * gx])
-
-    t0, t1 = t_span
-    ts = np.linspace(t0, t1, n_steps + 1)
-    ys = np.zeros((n_steps + 1, 2 * d))
-    fs = np.zeros_like(ys)
-    y = np.concatenate([x, xi])
-    ys[0] = y
-    fs[0] = rhs(t0, y)
-    dt = (t1 - t0) / n_steps if n_steps else 0.0
-    for i in range(n_steps):
-        t = ts[i]
-        k1 = fs[i]
-        k2 = rhs(t + dt / 2, y + dt / 2 * k1)
-        k3 = rhs(t + dt / 2, y + dt / 2 * k2)
-        k4 = rhs(t + dt, y + dt * k3)
-        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise RuntimeError("bicharacteristic integration underflowed")
-        ys[i + 1] = y
-        fs[i + 1] = rhs(ts[i + 1], y)
-    return BicharTrajectory(ts, ys, fs, d)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +114,9 @@ def block_reduce_2x2(a: np.ndarray, mu: float, tol: float = 1e-9):
 
 
 def assemble_A_star(sys_or_field, phi, Q, mu, eps: float, t: float, x, xi,
-                    x0, ell: float, traj: BicharTrajectory | None = None) -> np.ndarray:
+                    x0, ell: float) -> np.ndarray:
     """Rescaled advected symbol (Q (A - mu) Q^-1) at
-    (eps^h t, x0 + eps^(1-h) x*(eps^h t), xi*(eps^h t)).
+    (eps^h t, x0 + eps^(1-h) x, xi), the label (x, xi) held fixed.
 
     Q and mu are callables of (t, x, xi) (or None / 0 for the elliptic case,
     where the expression collapses to A(eps t, x0 + x, xi)).
@@ -205,11 +125,8 @@ def assemble_A_star(sys_or_field, phi, Q, mu, eps: float, t: float, x, xi,
     h, _ = scales_for_ell(ell)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     ts = eps ** h * t
-    if traj is not None:
-        xs, xis = traj(ts)
-    else:
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        xis = np.atleast_1d(np.asarray(xi, dtype=float))
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xis = np.atleast_1d(np.asarray(xi, dtype=float))
     xpt = x0 + eps ** (1.0 - h) * xs
     a = field.symbol(ts, xpt, xis).astype(complex)
     n = a.shape[0]
@@ -225,12 +142,12 @@ def assemble_A_star(sys_or_field, phi, Q, mu, eps: float, t: float, x, xi,
 
 
 def make_a_star_sampler(sys_or_field, phi, eps: float, ell: float, x0, x, xi,
-                        Q=None, mu=None, traj: BicharTrajectory | None = None) -> Callable:
+                        Q=None, mu=None) -> Callable:
     """Bind assemble_A_star to a (x, xi) label; returns t -> N x N complex."""
     field = as_field(sys_or_field, phi)
 
     def sampler(t: float) -> np.ndarray:
-        return assemble_A_star(field, None, Q, mu, eps, t, x, xi, x0, ell, traj)
+        return assemble_A_star(field, None, Q, mu, eps, t, x, xi, x0, ell)
 
     return sampler
 
@@ -451,24 +368,3 @@ def ladder_fit(eps_values, values) -> LadderFit:
     ll = np.log(np.abs(np.log(e)))
     cprime, logc = np.polyfit(ll, lv, 1)
     return LadderFit(e, v, slope, float(np.exp(logc)), float(cprime))
-
-
-def hermitian_growth_bound(a_samples: Sequence[np.ndarray], mu_scale: float,
-                           lam0: complex | None = None) -> float:
-    """Max |eigenvalue| of the Hermitian part of the scaled, triangularized
-    generator i(A - lam0) over the samples; Q_mu = diag(1, mu^-1, ...)."""
-    samples = [np.asarray(a, dtype=complex) for a in a_samples]
-    center = samples[0]
-    n = center.shape[0]
-    if lam0 is None:
-        vals = sort_spectrum(np.linalg.eigvals(center))
-        lam0 = vals[int(np.argmax(vals.imag))]
-    t, u = scipy.linalg.schur(center, output="complex")
-    qmu = np.diag(mu_scale ** (-np.arange(n, dtype=float)))
-    qmu_inv = np.diag(mu_scale ** (np.arange(n, dtype=float)))
-    gamma0 = 0.0
-    for a in samples:
-        m = qmu @ (u.conj().T @ (1j * a) @ u) @ qmu_inv - 1j * lam0 * np.eye(n)
-        herm = 0.5 * (m + m.conj().T)
-        gamma0 = max(gamma0, float(np.max(np.abs(np.linalg.eigvalsh(herm)))))
-    return gamma0

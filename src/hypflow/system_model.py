@@ -253,16 +253,6 @@ class CotangentPoint:
 
 
 @dataclass(frozen=True)
-class PrincipalSymbolEval:
-    """Value of A(t,x,xi), 1-homogeneous in xi."""
-
-    matrix: np.ndarray
-    t: float
-    x: np.ndarray
-    xi: np.ndarray
-
-
-@dataclass(frozen=True)
 class CharPolyJet:
     """P and its partials (P_lam, P_lamlam exact; P_t, P_tt, P_tlam by FD)."""
 
@@ -317,13 +307,6 @@ def charpoly_coeffs(a: np.ndarray) -> np.ndarray:
     return c
 
 
-def eval_charpoly(a: PrincipalSymbolEval | np.ndarray, lam: complex) -> complex:
-    """det(lambda I - A) by LU factorization with partial pivoting."""
-    mat = a.matrix if isinstance(a, PrincipalSymbolEval) else np.asarray(a)
-    n = mat.shape[0]
-    return complex(np.linalg.det(lam * np.eye(n) - mat.astype(complex)))
-
-
 def aberth_roots(coeffs: np.ndarray, maxiter: int = 200, tol: float = 1e-13) -> np.ndarray:
     """All roots of a polynomial (ascending coefficients) by Aberth-Ehrlich.
 
@@ -375,16 +358,9 @@ def sort_spectrum(vals: np.ndarray) -> np.ndarray:
     return vals[order]
 
 
-def spectrum(a: PrincipalSymbolEval | np.ndarray) -> np.ndarray:
+def spectrum(a: np.ndarray) -> np.ndarray:
     """Eigenvalues with multiplicity, Aberth-Ehrlich on the characteristic coefficients."""
-    mat = a.matrix if isinstance(a, PrincipalSymbolEval) else np.asarray(a)
-    vals = aberth_roots(charpoly_coeffs(mat))
-    return sort_spectrum(vals)
-
-
-def hyperbolicity_test(a: PrincipalSymbolEval | np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff all eigenvalues of A are real up to `tol`."""
-    return bool(np.max(np.abs(spectrum(a).imag)) <= tol)
+    return sort_spectrum(aberth_roots(charpoly_coeffs(np.asarray(a))))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +368,7 @@ def hyperbolicity_test(a: PrincipalSymbolEval | np.ndarray, tol: float = 1e-9) -
 # ---------------------------------------------------------------------------
 
 def eval_principal_symbol(sys: SystemSpec, phi: ReferenceSolution | Callable,
-                          t: float, x, xi) -> PrincipalSymbolEval:
+                          t: float, x, xi) -> np.ndarray:
     """A(t,x,xi) = sum_j xi_j A_j(t, x, phi(t,x))."""
     x = as_vec(x, sys.space_dim)
     xi = as_vec(xi, sys.space_dim)
@@ -403,7 +379,7 @@ def eval_principal_symbol(sys: SystemSpec, phi: ReferenceSolution | Callable,
     for j in range(sys.space_dim):
         if xi[j] != 0.0:
             mat += xi[j] * sys.flux(j, t, x, u)
-    return PrincipalSymbolEval(mat, t, x, xi)
+    return mat
 
 
 def _richardson_dt(f: Callable, t: float, step: float):
@@ -479,7 +455,7 @@ class CharPolyField(_BaseField):
         self.space_dim = sys.space_dim
 
     def symbol(self, t: float, x, xi) -> np.ndarray:
-        return eval_principal_symbol(self.sys, self.phi_t, t, x, xi).matrix
+        return eval_principal_symbol(self.sys, self.phi_t, t, x, xi)
 
     def coeffs(self, t: float, x, xi) -> np.ndarray:
         return charpoly_coeffs(self.symbol(t, x, xi))

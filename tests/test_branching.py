@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
-from hypflow.branching import (GrowthEnvelope, branch_eigenvalues,
-                               compute_branch_data, eval_e_factor, eval_growth,
-                               growth_rate, make_t_star, solve_mu_star,
-                               solve_tau_star)
+from hypflow.branching import (GrowthEnvelope, compute_branch_data,
+                               eval_e_factor, eval_growth, growth_rate,
+                               solve_mu_star, solve_tau_star)
 from hypflow.classifier import classify
 from hypflow.examples import get_state
 from hypflow.system_model import SymbolField, as_field
+
+
+def _branch_eigenvalues(branch, t):
+    """lambda+- = mu +- i((t-tau*) e0)^(1/2) past the transition, real before it."""
+    dt = t - branch.tau_star
+    s = 1j * np.sqrt(dt * branch.e0) if dt >= 0.0 else np.sqrt(-dt * branch.e0)
+    return complex(branch.mu + s), complex(branch.mu - s)
 
 
 def vdw_model_field(alpha=1.0, beta=1.0):
@@ -67,10 +73,10 @@ def test_e_factor_values():
 def test_branch_eigenvalues():
     field = SymbolField(lambda t, x, xi: xi[0] * np.array([[0.0, 1.0], [-t, 0.0]]), 1, 2)
     data = compute_branch_data(field, None, [0.0], [1.0], lam_init=0.0)
-    lp, lm = branch_eigenvalues(data, data.tau_star)
+    lp, lm = _branch_eigenvalues(data, data.tau_star)
     assert lp == lm == data.mu
     for t in (0.05, 0.2):
-        lp, lm = branch_eigenvalues(data, t)
+        lp, lm = _branch_eigenvalues(data, t)
         assert abs(lp - 1j * np.sqrt(t)) < 1e-8
         assert abs(lm + 1j * np.sqrt(t)) < 1e-8
 
@@ -81,7 +87,7 @@ def test_branch_eigenvalues_kgz_vs_quartic():
     data = compute_branch_data(field, None, [0.0], [1.0], lam_init=0.0)
     for dt in (0.002, 0.005, 0.01):
         t = data.tau_star + dt
-        lp, _ = branch_eigenvalues(data, t)
+        lp, _ = _branch_eigenvalues(data, t)
         roots = field.spectrum_at(t, [0.0], [1.0])
         root = roots[np.argmax(roots.imag)]
         assert abs(lp.imag - root.imag) <= 0.1 * abs(root.imag)
@@ -95,14 +101,14 @@ def test_branch_consistency_identity():
     data = compute_branch_data(field, None, [0.05], [1.0], lam_init=0.0)
     for dt in (2e-4, 1e-3):
         t = data.tau_star + dt
-        lp, _ = branch_eigenvalues(data, t, 0.05)
+        lp, _ = _branch_eigenvalues(data, t)
         e_at = eval_e_factor(field, None, t, [0.05], [1.0], lp,
                              mu=data.mu, tau_star=data.tau_star)
         assert abs((lp - data.mu) ** 2 + (t - data.tau_star) * e_at) <= 1e-6
     resids = []
     for dt in (0.01, 0.02, 0.04):
         t = data.tau_star + dt
-        lp, _ = branch_eigenvalues(data, t, 0.05)
+        lp, _ = _branch_eigenvalues(data, t)
         e_at = eval_e_factor(field, None, t, [0.05], [1.0], lp,
                              mu=data.mu, tau_star=data.tau_star)
         resids.append(abs((lp - data.mu) ** 2 + (t - data.tau_star) * e_at))
@@ -173,20 +179,6 @@ def test_gamma_ordering():
     assert gm <= gp
     gm0, gp0 = growth_rate(cle, None, x=cle.witness.x, xi=cle.witness.xi, field=field)
     assert abs(gm0 - gp0) < 1e-12
-
-
-def test_make_t_star_scaling():
-    b = get_state("vdw", "witness")
-    eps, h = 1e-3, 2.0 / 3.0
-    t_star = make_t_star(b.sys, b.phi, [0.0], eps, h)
-    # theta*(y) = tau*(x0 + y) ~ y^2/2 for this state; t* = eps^-h theta*(eps^(1-h) x)
-    x = 0.5
-    got = t_star([x], [1.0])
-    y = eps ** (1.0 - h) * x
-    field = as_field(b.sys, b.phi)
-    expected = eps ** (-h) * solve_tau_star(field, None, [y], [1.0], lam_init=0.0)
-    assert abs(got - expected) < 1e-10
-    assert got >= 0.0
 
 
 def test_newton_failure_paths():

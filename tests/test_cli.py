@@ -203,3 +203,13 @@ def test_simulate_breakdown_exit_code(capsys, tmp_path):
     payload = json.loads((tmp_path / "hadamard_burgers1d_semisimple.json").read_text())
     assert payload["metadata"]["filter_strength"] == 1e4
     assert payload["rows"][0]["breakdown_reason"] is not None
+
+
+def test_simulate_kgz_witness_runs(capsys, tmp_path):
+    # the kgz states carry no e_vec: the packet direction defaults to the
+    # first unit vector of the 4-component state
+    code, _, err = run(["simulate", "--example", "kgz", "--state", "witness",
+                        "--eps-ladder", "1e-2,1e-3", "--out", str(tmp_path)], capsys)
+    assert code in (EXIT_OK, EXIT_BREAKDOWN), err
+    payload = json.loads((tmp_path / "hadamard_kgz_witness.json").read_text())
+    assert [r["eps"] for r in payload["rows"]] == [1e-2, 1e-3]

@@ -259,6 +259,15 @@ def test_experiment_rejects_stable_regime():
         run_instability_experiment(b.sys, b.phi, cl, params, [1e-2])
 
 
+def test_experiment_rejects_e_vec_of_wrong_length():
+    b = get_state("kgz", "witness")
+    cl = classify(b.sys, b.phi, b.search_region)
+    params = HadamardParams(K=3.0, alpha=1.0, m=1.25, delta=0.7, T_star=9.0,
+                            h=2.0 / 3.0, gamma_minus=0.5)
+    with pytest.raises(ValueError, match="2 components.*state dimension 4"):
+        run_instability_experiment(b.sys, b.phi, cl, params, [1e-2], e_vec=(1.0, 0.0))
+
+
 def test_ratio_dt_convergence():
     # halving dt (same grid) changes the reported ratio by <= 2%
     b = get_state("burgers1d", "semisimple")

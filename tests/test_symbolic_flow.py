@@ -3,13 +3,11 @@ import pytest
 
 from hypflow.airy import model_block_sampler, vector_airy
 from hypflow.branching import GrowthEnvelope, compute_branch_data
-from hypflow.examples import get_state, model_blocks
+from hypflow.examples import get_state
 from hypflow.symbolic_flow import (FlowConfig, block_reduce_2x2,
-                                   assemble_A_star, hermitian_growth_bound,
-                                   integrate_bicharacteristics,
-                                   integrate_symbolic_flow, ladder_fit,
-                                   make_a_star_sampler, verify_lower_bound,
-                                   verify_upper_bound)
+                                   assemble_A_star, integrate_symbolic_flow,
+                                   ladder_fit, make_a_star_sampler,
+                                   verify_lower_bound, verify_upper_bound)
 from hypflow.system_model import SymbolField, as_field
 
 
@@ -19,39 +17,6 @@ def test_flow_config_scales():
     assert cfg.h == 2.0 / 3.0 and cfg.zeta == 1.0 / 3.0
     with pytest.raises(ValueError):
         FlowConfig(eps=2.0, ell=0.0, T_star=1.0)
-
-
-# ---------------------------------------------------------------------------
-# bicharacteristics
-# ---------------------------------------------------------------------------
-
-def test_bichar_constant_and_advection():
-    traj = integrate_bicharacteristics(lambda t, x, xi: 0.7, 1e-2, 0.5,
-                                       (0.0, 1.0), [0.3], [1.1], n_steps=50)
-    xs, xis = traj(0.8)
-    assert abs(xs[0] - 0.3) < 1e-12 and abs(xis[0] - 1.1) < 1e-12
-    # mu = c xi: x* = x - c t, xi* = xi
-    c = 0.6
-    traj = integrate_bicharacteristics(lambda t, x, xi: c * xi[0], 1e-2, 0.5,
-                                       (0.0, 1.0), [0.0], [1.0], n_steps=100)
-    xs, xis = traj(1.0)
-    assert abs(xs[0] + c) < 1e-10 and abs(xis[0] - 1.0) < 1e-10
-
-
-def test_bichar_xi_drift_is_order_eps():
-    h = 2.0 / 3.0
-    drifts = []
-    ladder = [1e-2, 1e-3, 1e-4]
-    for eps in ladder:
-        T = (2.0 * abs(np.log(eps))) ** (1.0 / 1.5)
-        mu = lambda t, x, xi: xi[0] * (1.0 + 0.3 * np.sin(x[0]))
-        traj = integrate_bicharacteristics(mu, eps, h, (0.0, eps ** h * T),
-                                           [0.2], [1.0], n_steps=200)
-        _, xis = traj(eps ** h * T)
-        drifts.append(abs(xis[0] - 1.0))
-    assert drifts[0] < 10 * ladder[0]
-    slope = np.polyfit(np.log(ladder), np.log(drifts), 1)[0]
-    assert slope > 0.8
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +144,10 @@ def test_trace_free_block_unimodular():
 
 
 def test_model_block_matches_vector_airy():
-    # family [[0,1],[-t,0]] at eps-free scaling conjugates to the Airy system
-    fam = model_blocks(-1)
+    # model block [[0,1],[-t,0]] at eps-free scaling conjugates to the Airy system
     cfg = FlowConfig(eps=0.5, ell=0.0, T_star=1.0, rtol=1e-10, max_step=0.01)
-    res = integrate_symbolic_flow(lambda t: fam.symbol(t, [0.0], [1.0]), cfg, 0.0, 2.5)
+    res = integrate_symbolic_flow(lambda t: np.array([[0.0, 1.0], [-t, 0.0]]),
+                                  cfg, 0.0, 2.5)
     d = np.diag([-1j, 1.0])
     z = vector_airy(0.0, 2.5).Z
     target = np.linalg.inv(d) @ z @ d
@@ -253,36 +218,6 @@ def test_lower_bound_degenerate_direction_flagged():
         ratios.append(low.min_ratio)
     fit = ladder_fit(ladder, ratios)
     assert not fit.lower_bounded
-
-
-# ---------------------------------------------------------------------------
-# Hermitian growth bound
-# ---------------------------------------------------------------------------
-
-def test_hermitian_bound_nilpotent_and_normal():
-    j = np.array([[0.0, 1.0], [0.0, 0.0]])
-    for mu in (1e-1, 1e-2, 1e-3):
-        g = hermitian_growth_bound([1j * np.eye(2) * 0.0 + mu * j], mu_scale=1.0,
-                                   lam0=0.0)
-        assert g <= 1.0 * mu
-    # eigenvalue-i block of a normal matrix: gamma0 = 0 at the center
-    assert hermitian_growth_bound([np.array([[1j]])], mu_scale=0.1, lam0=1j) < 1e-14
-
-
-def test_hermitian_bound_lipschitz_in_radius():
-    rng = np.random.default_rng(33)
-    b = rng.normal(size=(3, 3))
-    center = 1j * np.eye(3) * 0.0 + np.diag([1.0, 2.0, 3.0]) * 1j
-    gammas = []
-    deltas = (0.05, 0.1, 0.2)
-    for delta in deltas:
-        samples = [center + delta * s * b for s in (-1.0, -0.5, 0.5, 1.0)]
-        gammas.append(hermitian_growth_bound([center] + samples, mu_scale=0.1,
-                                             lam0=3j))
-    slope = np.polyfit(deltas, gammas, 1)[0]
-    resid = np.max(np.abs(np.polyval([slope, gammas[0] - slope * deltas[0]],
-                                     deltas) - gammas))
-    assert slope > 0 and resid <= 0.1 * max(gammas)
 
 
 def test_vdw_flow_matches_airy_end_to_end():
