@@ -77,10 +77,16 @@ def canonical_config(cfg: dict) -> list[str]:
     return lines
 
 
-def _parse_ladder(text: str) -> list[float]:
-    vals = [float(s) for s in text.split(",") if s.strip()]
+def _parse_ladder(text: str, fit: bool = False) -> list[float]:
+    try:
+        vals = [float(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        vals = []
     if not vals or any(not (0 < v < 1) for v in vals):
         raise ConfigError(f"bad eps ladder {text!r}")
+    if fit and len(set(vals)) < 2:
+        raise ConfigError(f"eps ladder {text!r}: a ladder fit needs at least "
+                          "two distinct eps values")
     return sorted(vals, reverse=True)
 
 
@@ -115,7 +121,10 @@ def _bundle_from_args(args):
                                     examples.REGION_1D, vec,
                                     e_vec=np.array([1j, 1.0]) / np.sqrt(2),
                                     gamma_minus=abs(f2) / 2 if f2 else None)
-    return examples.get_state(args.example, args.state, **params)
+    try:
+        return examples.get_state(args.example, args.state, **params)
+    except (KeyError, ValueError) as exc:       # unknown name, or kgz |c| = 1
+        raise ConfigError(exc.args[0]) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +206,7 @@ def cmd_airy(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    ladder = _parse_ladder(args.eps_ladder)
+    ladder = _parse_ladder(args.eps_ladder, fit=True)
     f0 = args.model_f0
     t_star = args.model_tstar
     gamma = (2.0 / 3.0) * math.sqrt(f0) * args.gamma_scale
@@ -243,7 +252,7 @@ def cmd_flow(args) -> int:
 
 
 def cmd_quantize_check(args) -> int:
-    ladder = _parse_ladder(args.eps_ladder)
+    ladder = _parse_ladder(args.eps_ladder, fit=True)
     h = 2.0 / 3.0
     cfg_dict = {"eps_ladder": args.eps_ladder, "h": h, "seed": args.seed}
     header = canonical_config(cfg_dict)
@@ -298,15 +307,15 @@ def cmd_simulate(args) -> int:
         from .system_model import as_field
         gamma = growth_rate(cl, data, field=as_field(bundle.sys, bundle.phi))[0]
     h = cl.h if cl.h is not None else 0.5
-    params = pde_sim.HadamardParams(K=args.K, alpha=args.alpha_h, m=args.m,
-                                    delta=args.delta,
-                                    T_star=args.T_star if args.T_star else
-                                    1.5 * args.K / gamma,
-                                    h=h, gamma_minus=gamma)
-    e_vec = target.e_vec if target.e_vec is not None else np.eye(target.sys.state_dim)[0]
+    try:
+        params = pde_sim.HadamardParams(
+            K=args.K, alpha=args.alpha_h, m=args.m, delta=args.delta, h=h, gamma_minus=gamma,
+            T_star=args.T_star if args.T_star else 1.5 * args.K / gamma)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     report = pde_sim.run_instability_experiment(
         target.sys, target.phi, None if control else cl, params, ladder,
-        xi0=float(target.xi0[0]), x0=float(target.x0[0]), e_vec=e_vec,
+        xi0=float(target.xi0[0]), x0=float(target.x0[0]), e_vec=target.e_vec,
         phi_traj_vec=target.phi_traj_vec, control=control,
         filter_strength=args.filter_strength, length=args.length,
         dump_dir=_out_path(args, "states") if args.dump_states and args.out else None)
@@ -466,7 +475,7 @@ def main(argv=None) -> int:
                 return EXIT_CONFIG
     try:
         return args.func(args)
-    except (ConfigError, KeyError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RuntimeError, np.linalg.LinAlgError, ArithmeticError) as exc:

@@ -1,19 +1,19 @@
 """1D periodic pseudospectral solver and the wave-packet instability experiment.
 
-One fixed-step RK4 loop drives both spectral solvers: the nonlinear evolution
-(2/3-rule dealiasing, breakdown detection by L-infinity cap, unresolved-gradient
-proxy and NaN) and the linearized evolution in the rescaled frame (stopped on
-NaN).  The loop applies the exponential filter, whose strength is recorded in
-every report, after each step.  On top of it: the Hoelder-ratio measurement on
-shrinking balls, the ladder experiment, and the free-solution comparison
-against the quantized symbolic flow.
+One fixed-step RK4 loop drives both spectral solvers.  The nonlinear evolution
+holds the rfft of its state, so 2/3-rule dealiasing and the exponential filter
+(strength recorded in every report) are multiplies; it stops on an L-infinity
+cap, an unresolved-gradient proxy or NaN.  The linearized evolution in the
+rescaled frame steps in physical space, unfiltered, and stops on NaN.  On top:
+the Hoelder-ratio measurement on shrinking balls, the ladder experiment, and
+the free-solution comparison against the quantized symbolic flow.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -71,96 +71,75 @@ class Trajectory:
         return self.states[-1]
 
 
-def _filter_mask(k: np.ndarray, strength: float, order: int,
-                 dt: float) -> np.ndarray:
-    """Per-step multiplier of the exponential filter at wavenumbers `k`.
-
-    `strength` is a damping rate per unit time at the top mode, so the total
-    dissipation depends on elapsed time, not on the step count: refining dt
-    leaves the filtered dynamics unchanged.
-    """
-    kmax = np.max(np.abs(k))
-    return np.exp(-strength * dt * (np.abs(k) / kmax) ** (2 * order))
-
-
-def _dealias_mask(n: int) -> np.ndarray:
-    k_idx = np.arange(n // 2 + 1)
-    return (k_idx <= n // 3).astype(float)
-
-
-def breakdown_detector(values: np.ndarray, cfg: SolverConfig) -> Optional[str]:
+def breakdown_detector(values: np.ndarray, vh: np.ndarray,
+                       cfg: SolverConfig) -> Optional[str]:
     """NaN/Inf, L-infinity cap, or derivative energy piling up at the top of
     the kept band (a gradient the grid no longer resolves: the W^{1,inf} exit
-    proxy).  The tail fraction weights modes by k^2 so that a forming shock
-    (|u^_k| ~ 1/k) registers as an O(1) fraction independent of resolution."""
+    proxy), read off `vh`, the rfft of `values`.  The tail fraction weights
+    modes by k^2 so that a forming shock (|u^_k| ~ 1/k) registers as an O(1)
+    fraction independent of resolution."""
     if not np.all(np.isfinite(values)):
         return "nan"
     if np.max(np.abs(values)) > cfg.linf_cap:
         return "linf_cap"
-    vh = np.fft.rfft(values, axis=-1)
-    k_idx = np.arange(vh.shape[-1], dtype=float)
-    dpow = np.sum(k_idx ** 2 * np.abs(vh) ** 2, axis=0)
-    total = np.sum(dpow)
-    if total > 0:
-        keep_max = cfg.n // 3
-        band = (np.arange(dpow.size) >= (2 * keep_max) // 3) \
-            & (np.arange(dpow.size) <= keep_max)
-        frac = float(np.sum(dpow[band]) / total)
-        if frac > cfg.tail_cap:
-            return "spectral_tail"
+    dpow = np.sum(np.arange(vh.shape[-1], dtype=float) ** 2 * np.abs(vh) ** 2, axis=0)
+    keep_max = cfg.n // 3
+    if np.sum(dpow[(2 * keep_max) // 3:keep_max + 1]) > cfg.tail_cap * np.sum(dpow):
+        return "spectral_tail"
     return None
 
 
-def _nan_check(values: np.ndarray) -> Optional[str]:
-    return None if np.all(np.isfinite(values)) else "nan"
+def _march(rhs: Callable, state: np.ndarray, grid: Grid1D, cfg: SolverConfig,
+           values: Callable, filter_k: np.ndarray | None, check: Callable,
+           observer: Callable | None, store_states: bool) -> Trajectory:
+    """Fixed-step RK4 for d_t state = rhs(t, values(state)), 0 <= t <= t_final.
 
-
-def _march(rhs: Callable, u: np.ndarray, grid: Grid1D, cfg: SolverConfig,
-           smooth: tuple, check: Callable, observer: Callable | None,
-           store_states: bool) -> Trajectory:
-    """Fixed-step RK4 for d_t u = rhs(t, u) from t = 0 to cfg.t_final.
-
-    After each step the (N, n) state is smoothed by the exponential filter
-    (skipped when cfg.filter_strength is 0); `smooth = (k, forward, inverse)`
-    is the transform pair and its wavenumbers.  A non-None `check(u)` stops
-    the run and is recorded, with the offending state, as the breakdown.
-    `observer(t, u)` is called at t = 0 and at every sample time.
+    `values(state)` is a stack whose first entry is the (N, n) grid values;
+    after a step it also feeds `check(values, state)`, whose non-None verdict
+    stops the run as the breakdown, and `observer(t, values)`, called at t = 0
+    and at every sample time.  A state of Fourier coefficients at wavenumbers
+    `filter_k` (None: physical space) is multiplied after each step by the
+    exponential filter, whose strength is a damping rate per unit time at the
+    top mode, so refining dt leaves the filtered dynamics unchanged.
     """
     n = grid.n
     n_steps = max(1, int(math.ceil(cfg.t_final / cfg.dt)))
     dt = cfg.t_final / n_steps
-    k, forward, inverse = smooth
-    filt = _filter_mask(k, cfg.filter_strength, cfg.filter_order, dt) \
-        if cfg.filter_strength > 0 else None
+    filt = None
+    if filter_k is not None and cfg.filter_strength > 0:
+        kmax = np.max(np.abs(filter_k))
+        filt = np.exp(-cfg.filter_strength * dt * (np.abs(filter_k) / kmax) ** (2 * cfg.filter_order))
     sample_every = max(1, n_steps // max(1, cfg.sample_count - 1))
+    w = values(state)
     times = [0.0]
-    states = [u.copy()] if store_states else []
+    states = [w[0].copy()] if store_states else []
     if observer is not None:
-        observer(0.0, u)
+        observer(0.0, w[0])
     breakdown = None
     t = 0.0
     for step in range(1, n_steps + 1):
-        k1 = rhs(t, u)
-        k2 = rhs(t + dt / 2, u + dt / 2 * k1)
-        k3 = rhs(t + dt / 2, u + dt / 2 * k2)
-        k4 = rhs(t + dt, u + dt * k3)
-        u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1 = rhs(t, w)
+        k2 = rhs(t + dt / 2, values(state + dt / 2 * k1))
+        k3 = rhs(t + dt / 2, values(state + dt / 2 * k2))
+        k4 = rhs(t + dt, values(state + dt * k3))
+        state = state + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         if filt is not None:
-            u = inverse(forward(u, axis=-1) * filt, n=n, axis=-1)
+            state *= filt
+        w = values(state)
         t = step * dt
-        reason = check(u)
+        reason = check(w[0], state)
         if reason is not None:
             breakdown = BreakdownInfo(t, reason)
         if breakdown is not None or step % sample_every == 0 or step == n_steps:
             times.append(t)
             if store_states:
-                states.append(u.copy())
-            if observer is not None and np.all(np.isfinite(u)):
-                observer(t, u)
+                states.append(w[0].copy())
+            if observer is not None and np.all(np.isfinite(w[0])):
+                observer(t, w[0])
         if breakdown is not None:
             break
     return Trajectory(grid, np.asarray(times),
-                      np.asarray(states) if store_states else np.zeros((0, u.shape[0], n)),
+                      np.asarray(states) if store_states else np.zeros((0, state.shape[0], n)),
                       breakdown)
 
 
@@ -169,9 +148,9 @@ def evolve(sys: SystemSpec, u0: GridFunction, cfg: SolverConfig,
            store_states: bool = True) -> Trajectory:
     """Nonlinear evolution d_t u + A(u) d_x u = F(u) (one space dimension).
 
-    The nonlinear term is dealiased by the 2/3 rule; the state is smoothed each
-    step by the exponential filter and checked by `breakdown_detector`.
-    `observer(t, values)` is called at sample times with the (N, n) state,
+    The state is the rfft of the (N, n) field.  The nonlinear term is dealiased
+    by the 2/3 rule; the state is filtered each step and checked by
+    `breakdown_detector`.  `observer(t, values)` gets the (N, n) field,
     letting callers record reduced observables without storing full snapshots.
     """
     if sys.space_dim != 1:
@@ -182,21 +161,23 @@ def evolve(sys: SystemSpec, u0: GridFunction, cfg: SolverConfig,
         raise ValueError("grid/config node count mismatch")
     xs = grid.nodes
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=cfg.length / n)
-    deal = _dealias_mask(n)
+    ik = 1j * k
+    deal = np.arange(k.size) <= n // 3
     flux = sys.fluxes_vec[0]
     src = sys.source_vec
 
-    def rhs(t, v):
-        vh = np.fft.rfft(v, axis=-1)
-        vx = np.fft.irfft(1j * k * vh, n=n, axis=-1)
-        a = flux(t, xs, v.T)                 # (n, N, N)
-        out = -np.einsum("xij,jx->ix", a, vx) + src(t, xs, v.T).T
-        oh = np.fft.rfft(out, axis=-1) * deal
-        return np.fft.irfft(oh, n=n, axis=-1)
+    def values(vh):     # the field and its derivative from one transform
+        return np.fft.irfft(np.stack((vh, ik * vh)), n=n, axis=-1)
 
-    return _march(rhs, np.real(u0.values).T.copy(), grid, cfg,
-                  (k, np.fft.rfft, np.fft.irfft),
-                  lambda v: breakdown_detector(v, cfg), observer, store_states)
+    def rhs(t, w):
+        v, vx = w
+        a = np.ascontiguousarray(flux(t, xs, v.T).transpose(1, 2, 0))    # (N, N, n)
+        out = src(t, xs, v.T).T - np.einsum("ijx,jx->ix", a, vx)
+        return np.fft.rfft(out, axis=-1) * deal
+
+    return _march(rhs, np.fft.rfft(np.real(u0.values).T, axis=-1), grid, cfg,
+                  values, k, lambda v, vh: breakdown_detector(v, vh, cfg),
+                  observer, store_states)
 
 
 def evolve_linearized(sys: SystemSpec, phi_vec: Callable, v0: GridFunction,
@@ -208,9 +189,12 @@ def evolve_linearized(sys: SystemSpec, phi_vec: Callable, v0: GridFunction,
     d_t v + eps^(h-1) A1(t, x0 + eps^(1-h) x, phi) d_x v + B v = 0.
 
     phi_vec(t, xs) -> (n, N) samples the reference solution at the rescaled
-    nodes; B_fn(t, xs) -> (n, N, N) is the optional zero-order term.  A
-    non-finite state stops the run as a "nan" breakdown.
+    nodes; B_fn(t, xs) -> (n, N, N) is the optional zero-order term.  There
+    is no filter (cfg.filter_strength must be 0); a non-finite state stops the
+    run as a "nan" breakdown.
     """
+    if cfg.filter_strength > 0:
+        raise ValueError(f"no filter here: filter_strength = {cfg.filter_strength:g}")
     grid = v0.grid
     n = grid.n
     xs_resc = grid.nodes
@@ -219,7 +203,8 @@ def evolve_linearized(sys: SystemSpec, phi_vec: Callable, v0: GridFunction,
     flux = sys.fluxes_vec[0]
     pref = eps ** (h - 1.0)
 
-    def rhs(t, w):
+    def rhs(t, ws):
+        (w,) = ws
         wh = np.fft.fft(w, axis=-1)
         wx = np.fft.ifft(1j * kk * wh, axis=-1)
         us = phi_vec(t, xs_phys)
@@ -230,7 +215,9 @@ def evolve_linearized(sys: SystemSpec, phi_vec: Callable, v0: GridFunction,
         return out
 
     return _march(rhs, v0.values.T.astype(complex).copy(), grid, cfg,
-                  (kk, np.fft.fft, np.fft.ifft), _nan_check, observer, store_states)
+                  lambda w: (w,), None,
+                  lambda w, _: None if np.all(np.isfinite(w)) else "nan",
+                  observer, store_states)
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +296,7 @@ class HadamardRow:
     n_nodes: int
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "eps", "T_eps", "t_final", "numerator", "denominator", "ratio",
-            "growth_exponent_fit", "predicted_gamma", "breakdown_time",
-            "breakdown_reason", "n_nodes")}
+        return asdict(self)
 
 
 @dataclass
@@ -326,9 +310,7 @@ class HadamardReport:
                           sort_keys=True, default=str)
 
     def write_csv(self, path: str, header_lines: Sequence[str] = ()) -> None:
-        cols = ["eps", "T_eps", "t_final", "numerator", "denominator", "ratio",
-                "growth_exponent_fit", "predicted_gamma", "breakdown_time",
-                "breakdown_reason", "n_nodes"]
+        cols = [f.name for f in fields(HadamardRow)]
         with open(path, "w") as f:
             for line in header_lines:
                 f.write(f"# {line}\n")
@@ -378,10 +360,19 @@ def _fit_growth_exponent(times, amps, ell, eps, cap):
     return float(np.polyfit(xvar, np.log(amps[mask]), 1)[0])
 
 
+def _packet_direction(sys: SystemSpec, e_vec) -> np.ndarray:
+    """The packet's polarization; None is the first unit vector of the state."""
+    e_vec = np.eye(sys.state_dim)[0] if e_vec is None else e_vec
+    if len(e_vec) != sys.state_dim:
+        raise ValueError(f"e_vec has {len(e_vec)} components but system {sys.name!r} "
+                         f"has state dimension {sys.state_dim}")
+    return np.asarray(e_vec, dtype=complex)
+
+
 def run_instability_experiment(sys: SystemSpec, phi, classification,
                                params: HadamardParams, ladder: Sequence[float],
                                *, xi0: float = 1.0, x0: float = 0.0,
-                               e_vec=(1.0,), phi_traj_vec: Callable | None = None,
+                               e_vec=None, phi_traj_vec: Callable | None = None,
                                length: float = 2.0 * np.pi, control: bool = False,
                                filter_strength: float = 1e4, filter_order: int = 8,
                                nodes_per_osc: int = 8, sample_count: int = 60,
@@ -389,18 +380,17 @@ def run_instability_experiment(sys: SystemSpec, phi, classification,
                                dump_dir: str | None = None) -> HadamardReport:
     """Wave-packet instability experiment across an eps ladder.
 
-    Builds the datum phi(0) + packet, evolves to eps^h T(eps), and reports the
-    Hoelder ratio, the fitted packet growth exponent, and breakdowns (which
-    count as instability findings, not failures).  `control=True` runs a stable
-    system through the identical pipeline, borrowing the scales in `params`.
-    The run draws no random numbers, so it needs no seed.
+    Builds the datum phi(0) + packet along `e_vec` (default: the first unit
+    vector), evolves to eps^h T(eps), and reports the Hoelder ratio, the fitted
+    packet growth exponent, and breakdowns (which count as instability
+    findings, not failures).  `control=True` runs a stable system through the
+    identical pipeline, borrowing the scales in `params`.  The run draws no
+    random numbers, so it needs no seed.
     """
     if not control and classification is not None and \
             classification.regime in (PERSISTENT, INDETERMINATE):
         raise ValueError(f"no instability experiment in regime {classification.regime}")
-    if len(e_vec) != sys.state_dim:
-        raise ValueError(f"e_vec has {len(e_vec)} components but system {sys.name!r} "
-                         f"has state dimension {sys.state_dim}")
+    e_vec = _packet_direction(sys, e_vec)
     h = params.h
     ell = params.ell
     gamma = params.gamma_minus
@@ -418,7 +408,7 @@ def run_instability_experiment(sys: SystemSpec, phi, classification,
         else:
             phi0 = np.stack([np.asarray(phi(0.0, [x]), dtype=float) for x in xs]).T
         spec = WavePacketSpec(K=params.K, xi0=xi0, x0=x0, eps=eps, h=h,
-                              delta=params.delta, e_vec=np.asarray(e_vec, dtype=complex))
+                              delta=params.delta, e_vec=e_vec)
         packet = build_wavepacket(spec, grid, frame="original")
         u0 = GridFunction(grid, (phi0.T + np.real(packet.values)))
         lam_scale = float(np.max(np.abs(phi0)) + 1.0)
@@ -515,7 +505,7 @@ class FreeSolutionReport:
 def free_solution_compare(sys: SystemSpec, phi, eps: float, classification,
                           t_end: float, *, phi_vec: Callable,
                           xi0: float = 1.0, x0: float = 0.0,
-                          e_vec=(1.0,), length: float = 2.0 * np.pi,
+                          e_vec=None, length: float = 2.0 * np.pi,
                           nx_coarse: int = 128, dt_safety: float = 0.25,
                           flow_steps: int = 1200, delta: float = 1.0,
                           sign: float = 1.0) -> FreeSolutionReport:
@@ -529,12 +519,13 @@ def free_solution_compare(sys: SystemSpec, phi, eps: float, classification,
     """
     if classification is not None and classification.ell not in (0.0, None):
         raise NotImplementedError("free-solution comparison implemented for the elliptic frame")
+    e_vec = _packet_direction(sys, e_vec)
     h = 1.0
     k0 = max(1, int(round(xi0 / eps ** h * length / (2.0 * np.pi))))
     n = 1 << max(6, int(math.ceil(math.log2(8 * k0))))
     grid = Grid1D(n, length, x_left=-length / 2.0)
     spec = WavePacketSpec(K=0.0, xi0=xi0, x0=0.0, eps=eps, h=h, delta=delta,
-                          e_vec=np.asarray(e_vec, dtype=complex))
+                          e_vec=e_vec)
     v0 = build_wavepacket(spec, grid, frame="rescaled")
 
     flux = sys.fluxes_vec[0]

@@ -213,3 +213,28 @@ def test_simulate_kgz_witness_runs(capsys, tmp_path):
     assert code in (EXIT_OK, EXIT_BREAKDOWN), err
     payload = json.loads((tmp_path / "hadamard_kgz_witness.json").read_text())
     assert [r["eps"] for r in payload["rows"]] == [1e-2, 1e-3]
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["classify", "--example", "kgz", "--c", "1"], "|c| = 1"),
+    (["classify", "--example", "vdw", "--state", "nonesuch"], "nonesuch"),
+    (["simulate", "--example", "burgers1d", "--state", "semisimple",
+      "--hadamard-alpha", "0.4"], "alpha must lie"),
+    (["simulate", "--example", "burgers1d", "--state", "semisimple",
+      "--eps-ladder", "1e-2,abc"], "bad eps ladder"),
+], ids=["kgz-sonic", "unknown-state", "hadamard-gate", "bad-ladder"])
+def test_user_input_checks_are_config_errors(capsys, monkeypatch, argv, needle):
+    seen = _capture_simulate(monkeypatch)
+    code, _, err = run(argv, capsys)
+    assert code == EXIT_CONFIG and needle in err
+    assert not seen
+
+
+def test_program_value_error_is_not_config_error(capsys, tmp_path, monkeypatch):
+    # a shape bug inside the numerics must not pass for a user mistake
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together with shapes (2,) (3,)")
+    monkeypatch.setattr(pde_sim, "run_instability_experiment", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["simulate", "--example", "burgers1d", "--state", "semisimple",
+              "--eps-ladder", "1e-2", "--out", str(tmp_path)])

@@ -100,12 +100,41 @@ def test_breakdown_detector_cases():
     n = 1024
     cfg = SolverConfig(n=n, dt=1e-3, t_final=1.0, max_speed=0.5, linf_cap=2.0)
     grid = Grid1D(n, 2 * np.pi)
+
+    def verdict(values):
+        return breakdown_detector(values, np.fft.rfft(values), cfg)
+
     smooth = np.cos(grid.nodes).reshape(1, -1)
-    assert breakdown_detector(smooth, cfg) is None
+    assert verdict(smooth) is None
     bad = smooth.copy()
     bad[0, 5] = np.nan
-    assert breakdown_detector(bad, cfg) == "nan"
-    assert breakdown_detector(3.0 * smooth, cfg) == "linf_cap"
+    assert verdict(bad) == "nan"
+    assert verdict(3.0 * smooth) == "linf_cap"
+    # k^2-weighted power piled into the top third of the kept band [227, 341]:
+    # 300^2 * 1e-4 against 1 for the carrier; the same ripple at k = 200 lies
+    # below the band and passes
+    assert verdict(smooth + 1e-2 * np.cos(300 * grid.nodes)) == "spectral_tail"
+    assert verdict(smooth + 1e-2 * np.cos(200 * grid.nodes)) is None
+
+
+def test_evolve_transform_budget(monkeypatch):
+    # per RK4 step: one inverse transform (field and derivative) and one
+    # forward transform (dealiased product) per stage, with the step's last
+    # inverse shared by the breakdown check and the next step's first stage
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counted(*args, _orig=getattr(np.fft, name), **kwargs):
+            calls.append(1)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    sysb = scalar_burgers()
+    n = 64
+    grid = Grid1D(n, 2 * np.pi)
+    u0 = GridFunction(grid, (0.5 + 0.2 * np.sin(grid.nodes)).reshape(-1, 1))
+    cfg = SolverConfig(n=n, dt=1e-2, t_final=0.2, max_speed=0.8, sample_count=3)
+    traj = evolve(sysb, u0, cfg, store_states=False)
+    assert traj.breakdown is None and traj.times[-1] == pytest.approx(0.2)
+    assert len(calls) <= 9 * 20
 
 
 def test_breakdown_near_shock_time():
@@ -151,6 +180,17 @@ def test_linearized_constant_transport_fourier_exact():
         out[i] = (v @ np.diag(np.exp(w)) @ np.linalg.inv(v)) @ vh[i]
     exact = np.fft.ifft(out, axis=0)
     assert np.max(np.abs(traj.final.T - exact)) <= 1e-8 * np.max(np.abs(exact))
+
+
+def test_linearized_rejects_filter():
+    sysb = burgers1d(1.0, (0.0, 0.0))
+    phi_vec = lambda t, xs: np.zeros((np.atleast_1d(xs).size, 2))
+    n = 256
+    grid = Grid1D(n, 2 * np.pi, x_left=-np.pi)
+    v0 = _packet(grid, 1e-1, 1.0, (1.0, 0.0))
+    cfg = SolverConfig(n=n, dt=1e-3, t_final=1e-2, max_speed=1.0)
+    with pytest.raises(ValueError, match="filter_strength = 36"):
+        evolve_linearized(sysb, phi_vec, v0, 1e-1, 1.0, 0.0, cfg)
 
 
 def _band_amplitude(values, grid, k0, width):
@@ -328,6 +368,24 @@ def test_free_solution_frozen_synthesis_pinned():
     slow = _scaled_j("slow", lambda t, x: 1.0 + 0.3 * np.sin(x))
     rep = free_solution_compare(slow, _ZERO_PHI, 1e-2, None, 2.0, **kw)
     assert rep.rel_error == pytest.approx(0.005774026682879661, rel=1e-9, abs=0.0)
+
+
+def test_e_vec_defaults_to_first_unit_vector():
+    # omitting e_vec polarizes the packet along the first state component;
+    # an e_vec of the wrong length is refused by name
+    const = _scaled_j("const", lambda t, x: 1.0)
+    rep = free_solution_compare(const, _ZERO_PHI, 1e-2, None, 2.0, phi_vec=_zero_phi_vec)
+    assert rep.rel_error < 1e-6
+    with pytest.raises(ValueError, match="3 components.*state dimension 2"):
+        free_solution_compare(const, _ZERO_PHI, 1e-2, None, 2.0, phi_vec=_zero_phi_vec,
+                              e_vec=(1.0, 0.0, 0.0))
+    b = get_state("burgers1d", "semisimple")
+    params = HadamardParams(K=3.0, alpha=1.0, m=1.25, delta=0.7, T_star=9.0,
+                            h=0.5, gamma_minus=0.5)
+    rep = run_instability_experiment(b.sys, b.phi, None, params, [1e-2],
+                                     phi_traj_vec=b.phi_traj_vec, length=np.pi / 2.0,
+                                     linf_cap=1.0)
+    assert np.isfinite(rep.rows[0].ratio) and rep.rows[0].ratio > 0
 
 
 def test_free_solution_time_dependent_flux():
