@@ -18,7 +18,7 @@ from scipy import special
 J = cmath.exp(2j * math.pi / 3)
 WRONSKIAN_CONST = (-math.sqrt(3.0) + 1j) / (4.0 * math.pi)
 
-_MAX_ABS = 40.0
+MAX_ABS = 40.0
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ class VectorAiry:
 def airy_ai(z: complex) -> AiryValue:
     """Ai(z) and Ai'(z) from scipy.special.airy (AMOS); |z| > 40 raises ValueError."""
     z = complex(z)
-    if abs(z) > _MAX_ABS:
-        raise ValueError(f"airy_ai documented for |z| <= {_MAX_ABS}, got |z| = {abs(z):g}")
+    if abs(z) > MAX_ABS:
+        raise ValueError(f"airy_ai documented for |z| <= {MAX_ABS}, got |z| = {abs(z):g}")
     ai, aip, _, _ = special.airy(z)
     return AiryValue(z, complex(ai), complex(aip))
 
@@ -55,7 +55,7 @@ def wronskian(tau: float) -> complex:
 
 def vector_airy(tau: float, t: float) -> VectorAiry:
     """Closed-form Z(tau;t) built from Ai at arguments tau, t, j*tau, j*t."""
-    if max(abs(tau), abs(t)) > _MAX_ABS:
+    if max(abs(tau), abs(t)) > MAX_ABS:
         raise ValueError("vector_airy documented for |tau|, |t| <= 40")
     a_t, a_tau = airy_ai(t), airy_ai(tau)
     a_jt, a_jtau = airy_ai(J * t), airy_ai(J * tau)

@@ -91,7 +91,10 @@ def _parse_ladder(text: str, fit: bool = False) -> list[float]:
 
 
 def _out_path(args, name: str) -> str:
-    os.makedirs(args.out, exist_ok=True)
+    """`name` in the --out directory, made if missing; with no --out, in the
+    current directory."""
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
 
 
@@ -186,6 +189,11 @@ def cmd_branch(args) -> int:
 
 
 def cmd_airy(args) -> int:
+    if not 0.0 <= args.t_max <= airy.MAX_ABS:
+        raise ConfigError(f"--t-max {args.t_max:g}: Ai is evaluated on "
+                          f"0 <= t <= {airy.MAX_ABS:g}")
+    if args.points < 1:
+        raise ConfigError(f"--points {args.points}: the table needs at least one point")
     cfg = {"t_max": args.t_max, "points": args.points, "seed": args.seed}
     header = canonical_config(cfg)
     ts = np.linspace(0.0, args.t_max, args.points)
@@ -318,7 +326,7 @@ def cmd_simulate(args) -> int:
         xi0=float(target.xi0[0]), x0=float(target.x0[0]), e_vec=target.e_vec,
         phi_traj_vec=target.phi_traj_vec, control=control,
         filter_strength=args.filter_strength, length=args.length,
-        dump_dir=_out_path(args, "states") if args.dump_states and args.out else None)
+        dump_dir=_out_path(args, "states") if args.dump_states else None)
     cfg_dict = {"example": args.example, "state": args.state, "control": control,
                 "eps_ladder": args.eps_ladder, "K": params.K, "alpha": params.alpha,
                 "m": params.m, "delta": params.delta, "T_star": params.T_star,

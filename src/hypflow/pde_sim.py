@@ -208,10 +208,11 @@ def evolve_linearized(sys: SystemSpec, phi_vec: Callable, v0: GridFunction,
         wh = np.fft.fft(w, axis=-1)
         wx = np.fft.ifft(1j * kk * wh, axis=-1)
         us = phi_vec(t, xs_phys)
-        a = flux(t, xs_phys, us)
-        out = -pref * np.einsum("xij,jx->ix", a, wx)
+        a = np.ascontiguousarray(flux(t, xs_phys, us).transpose(1, 2, 0))    # (N, N, n)
+        out = -pref * np.einsum("ijx,jx->ix", a, wx)
         if B_fn is not None:
-            out -= np.einsum("xij,jx->ix", B_fn(t, xs_resc), w)
+            b = np.ascontiguousarray(B_fn(t, xs_resc).transpose(1, 2, 0))
+            out -= np.einsum("ijx,jx->ix", b, w)
         return out
 
     return _march(rhs, v0.values.T.astype(complex).copy(), grid, cfg,
@@ -493,6 +494,46 @@ class _ModeGenerator:
         return (self.a @ s) * self.scale
 
 
+def _frozen_synthesis(a0: np.ndarray, uh: np.ndarray, ks: np.ndarray,
+                      grid: Grid1D, scale: complex) -> np.ndarray:
+    """Kohn-Nirenberg sum sum_k exp(scale xi_k a0(x)) u^_k exp(i xi_k (x - x_left)) / n
+    over the FFT indices `ks`, for a0 (n, N, N) and u^ (n, N); returns (N, n).
+
+    With a0 = V diag(lambda) V^-1 and xi_k = (2 pi / L) m_k, mode k carries
+    exp(xi_k E) = r^m_k, r = exp((2 pi / L) E), E = scale lambda + i (x - x_left),
+    so the sum is a polynomial in r: Horner's rule runs over the integer range
+    [m_lo, m_hi] of the selected modes (absent ones zero), at one multiply-add
+    per mode, in the (j, l, x) eigen-coordinates.  A non-finite sum raises
+    RuntimeError.
+    """
+    n = grid.n
+    lam, vecs = np.linalg.eig(a0)                                       # (n, N), (n, N, N)
+    vinv = np.linalg.inv(vecs).transpose(1, 2, 0)                       # (N, N, n)
+    # (2 pi / L) E overwrites the (complex) eigenvalues, and r overwrites that
+    # in turn: this helper sets the peak memory of free_solution_compare
+    step = lam.T.astype(complex, copy=False)                            # (N, n)
+    step *= (2.0 * np.pi / grid.length) * scale
+    step += (2j * np.pi / grid.length) * (grid.nodes - grid.x_left)
+    ms = (ks + n // 2) % n - n // 2                                     # signed FFT index
+    m_lo = int(ms.min())
+    coef = np.zeros((int(ms.max()) - m_lo + 1, uh.shape[1]), dtype=complex)
+    coef[ms - m_lo] = uh[ks]
+    horner = np.zeros(vinv.shape, dtype=complex)                        # H_{jl}(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lead = np.exp(m_lo * step)
+        r = np.exp(step, out=step)[:, None, :]
+        for c in coef[::-1]:
+            horner *= r
+            horner += c[:, None]
+        lead *= np.einsum("jlx,jlx->jx", vinv, horner)
+        out = np.einsum("xij,jx->ix", vecs, lead)
+        out /= n
+    if not np.all(np.isfinite(out)):
+        raise RuntimeError("frozen synthesis overflowed: the flow grows past "
+                           "floating point over the selected modes")
+    return out
+
+
 @dataclass
 class FreeSolutionReport:
     eps: float
@@ -562,22 +603,13 @@ def free_solution_compare(sys: SystemSpec, phi, eps: float, classification,
     uh = v0.hat()
     mags = np.max(np.abs(uh), axis=1)
     ks = np.nonzero(mags > 1e-12 * np.max(mags))[0]
-    xi = grid.freqs
-    rel = xs - grid.x_left
-    ncomp = v0.n_components
     pref = sign * 1j * eps ** (2.0 * h - 1.0)
     if frozen:
-        # S_k = V diag(exp(-pref t_end xi_k lambda)) V^-1 with V independent
-        # of k: sum the eigen-coordinates V^-1 u^_k under one exponential
-        # per mode, then apply V once; (N, n) layouts keep the loop contiguous
-        vals, vecs = np.linalg.eig(a0)                  # (n, N), (n, N, N)
-        vinv = np.linalg.inv(vecs).transpose(1, 2, 0).copy()        # (N, N, n)
-        expo = (-pref * t_end * vals + 1j * rel[:, None]).T.copy()  # (N, n)
-        acc = np.zeros((ncomp, n), dtype=complex)
-        for kidx in ks:
-            acc += np.einsum("jlx,l->jx", vinv, uh[kidx]) * np.exp(xi[kidx] * expo)
-        out = np.einsum("xij,jx->ix", vecs, acc) / n
+        out = _frozen_synthesis(a0, uh, ks, grid, -pref * t_end)
     else:
+        xi = grid.freqs
+        rel = xs - grid.x_left
+        ncomp = v0.n_components
         # batched RK4 for the vectors S(t) u^_k on a coarse grid, then a
         # periodic spline in x per mode
         xc = np.linspace(-length / 2.0, length / 2.0, nx_coarse, endpoint=False)

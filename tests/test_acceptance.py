@@ -196,7 +196,6 @@ def test_criterion_08_hadamard_experiment():
            f"factor {growth_factor:.3g}, control slope {slope:.3f}, {elapsed:.0f}s")
 
 
-@pytest.mark.slow
 def test_criterion_09_free_solution_validation():
     t0 = time.time()
     J = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -166,6 +166,21 @@ def test_airy_command_headers_and_wronskian(capsys, tmp_path):
     assert max(devs) < 1e-8
 
 
+def test_outputs_default_to_the_working_directory(capsys, tmp_path, monkeypatch):
+    # with no --out, files land in the current directory, and
+    # simulate --dump-states still gets a states directory
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(["airy", "--points", "3"], capsys)
+    assert code == EXIT_OK, err
+    assert (tmp_path / "airy.csv").exists()
+    seen = _capture_simulate(monkeypatch)
+    code, _, err = run(["simulate", "--example", "burgers1d", "--state", "semisimple",
+                        "--dump-states"], capsys)
+    assert code == EXIT_OK, err
+    assert seen["dump_dir"] == "states"
+    assert (tmp_path / "hadamard_burgers1d_semisimple.csv").exists()
+
+
 def test_quantize_check_determinism(capsys, tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -222,7 +237,11 @@ def test_simulate_kgz_witness_runs(capsys, tmp_path):
       "--hadamard-alpha", "0.4"], "alpha must lie"),
     (["simulate", "--example", "burgers1d", "--state", "semisimple",
       "--eps-ladder", "1e-2,abc"], "bad eps ladder"),
-], ids=["kgz-sonic", "unknown-state", "hadamard-gate", "bad-ladder"])
+    (["airy", "--t-max", "50"], "0 <= t <= 40"),
+    (["airy", "--t-max", "-1"], "0 <= t <= 40"),
+    (["airy", "--points", "-1"], "at least one point"),
+], ids=["kgz-sonic", "unknown-state", "hadamard-gate", "bad-ladder",
+        "airy-t-max-high", "airy-t-max-negative", "airy-points"])
 def test_user_input_checks_are_config_errors(capsys, monkeypatch, argv, needle):
     seen = _capture_simulate(monkeypatch)
     code, _, err = run(argv, capsys)

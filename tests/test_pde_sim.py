@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from hypflow.classifier import classify
 from hypflow.examples import burgers1d, get_state, kgz
-from hypflow.pde_sim import (HadamardParams, SolverConfig, breakdown_detector,
-                             evolve, evolve_linearized, free_solution_compare,
-                             run_instability_experiment, w1inf_ball)
+from hypflow.pde_sim import (HadamardParams, SolverConfig, _frozen_synthesis,
+                             breakdown_detector, evolve, evolve_linearized,
+                             free_solution_compare, run_instability_experiment,
+                             w1inf_ball)
 from hypflow.semiclassical import Grid1D, GridFunction, WavePacketSpec, build_wavepacket
 from hypflow.system_model import Domain, ReferenceSolution, SystemSpec
 
@@ -368,6 +370,46 @@ def test_free_solution_frozen_synthesis_pinned():
     slow = _scaled_j("slow", lambda t, x: 1.0 + 0.3 * np.sin(x))
     rep = free_solution_compare(slow, _ZERO_PHI, 1e-2, None, 2.0, **kw)
     assert rep.rel_error == pytest.approx(0.005774026682879661, rel=1e-9, abs=0.0)
+
+
+def _synthesis_oracle(a0, uh, ks, grid, scale):
+    # one matrix exponential per mode and node, summed directly
+    out = np.zeros((uh.shape[1], grid.n), dtype=complex)
+    rel = grid.nodes - grid.x_left
+    for k in ks:
+        xi = grid.freqs[k]
+        s = expm(scale * xi * a0)                                   # (n, N, N)
+        out += (s @ uh[k]).T * np.exp(1j * xi * rel)
+    return out / grid.n
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_frozen_synthesis_matches_per_mode_sum(sign):
+    # modes on both sides of xi = 0 with gaps, and an A1 whose eigenvectors
+    # turn with x, against a matrix exponential per mode
+    grid = Grid1D(64, 2 * np.pi, x_left=-np.pi)
+    x = grid.nodes
+    a0 = np.zeros((grid.n, 2, 2))
+    a0[:, 0, 1] = 1.0 + 0.3 * np.sin(x)
+    a0[:, 1, 0] = -1.0
+    rng = np.random.default_rng(3)
+    uh = np.zeros((grid.n, 2), dtype=complex)
+    ks = np.array([2, 3, 4, 6, 7, grid.n - 3, grid.n - 5, grid.n - 6])
+    uh[ks] = rng.normal(size=(ks.size, 2)) + 1j * rng.normal(size=(ks.size, 2))
+    scale = -sign * 1j * 0.1 * 1.5
+    got = _frozen_synthesis(a0, uh, ks, grid, scale)
+    want = _synthesis_oracle(a0, uh, ks, grid, scale)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_frozen_synthesis_overflow_raises():
+    grid = Grid1D(64, 2 * np.pi, x_left=-np.pi)
+    a0 = np.broadcast_to(_J, (grid.n, 2, 2))
+    uh = np.zeros((grid.n, 2), dtype=complex)
+    ks = np.array([5, 30])
+    uh[ks] = 1.0
+    with pytest.raises(RuntimeError, match="overflow"):
+        _frozen_synthesis(a0, uh, ks, grid, -1j * 100.0)
 
 
 def test_e_vec_defaults_to_first_unit_vector():
