@@ -131,7 +131,7 @@ def model_block_sampler(eps: float, f0: float, t_star: float):
 
 
 def conjugated_flow_compare(eps: float, f0: float, t_star: float,
-                            tau: float, t: float, rtol: float = 1e-9) -> float:
+                            tau: float, t: float) -> float:
     """Max entrywise relative deviation between the integrated model-block flow
     and the closed form D^-1 Z(Theta(tau); Theta(t)) D."""
     from . import symbolic_flow as sf
@@ -139,7 +139,7 @@ def conjugated_flow_compare(eps: float, f0: float, t_star: float,
     if t == tau:
         return 0.0
     cfg = sf.FlowConfig(eps=eps, ell=0.5, T_star=max(1.0, t ** 1.5 / max(1e-9, abs(math.log(eps)))),
-                        rtol=rtol, max_step=min(0.02, 0.25 / (1 + abs(t))))
+                        rtol=1e-9, max_step=min(0.02, 0.25 / (1 + abs(t))))
     res = sf.integrate_symbolic_flow(model_block_sampler(eps, f0, t_star), cfg, tau, t)
     s_num = res.final
     theta = lambda s: f0 ** (1.0 / 3.0) * (s - t_star)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -51,34 +50,32 @@ class BranchData:
 class GrowthEnvelope:
     """Rates gamma- <= gamma+ and the transition time entering the envelope."""
 
-    gamma_minus: Callable | float
-    gamma_plus: Callable | float
+    gamma_minus: float
+    gamma_plus: float
     ell: float
-    t_star: Callable | float = 0.0
-
-    def rate(self, which: str, x=0.0, xi=0.0) -> float:
-        g = self.gamma_minus if which == "minus" else self.gamma_plus
-        return float(g(x, xi)) if callable(g) else float(g)
-
-    def t_star_at(self, x=0.0, xi=0.0) -> float:
-        return float(self.t_star(x, xi)) if callable(self.t_star) else float(self.t_star)
+    t_star: float
 
 
-def _dcoeffs_dt(field, t, x, xi, step=1e-4):
-    return _richardson_dt(lambda s: field.coeffs(s, x, xi), t, step)[0]
+# the mu_star and tau_star Newton iterations stop at |residual| <= _NEWTON_TOL
+# and fail after _NEWTON_MAXITER steps
+_NEWTON_MAXITER = 50
+_NEWTON_TOL = 1e-11
 
 
-def solve_mu_star(sys, phi, t, x, xi, lam_init, tol: float = 1e-11,
-                  maxiter: int = 50) -> float:
+def _dcoeffs_dt(field, t, x, xi):
+    return _richardson_dt(lambda s: field.coeffs(s, x, xi), t, 1e-4)[0]
+
+
+def solve_mu_star(sys, phi, t, x, xi, lam_init) -> float:
     """Newton on lambda -> dP/dlambda(t,x,xi,lambda) starting from lam_init."""
     field = as_field(sys, phi)
     c = field.coeffs(t, x, xi)
     c1 = npoly.polyder(c)
     c2 = npoly.polyder(c, 2)
     lam = float(np.real(lam_init))
-    for it in range(maxiter):
+    for _ in range(_NEWTON_MAXITER):
         g = float(np.real(npoly.polyval(lam, c1)))
-        if abs(g) <= tol:
+        if abs(g) <= _NEWTON_TOL:
             return lam
         gp = float(np.real(npoly.polyval(lam, c2)))
         if gp == 0.0:
@@ -89,8 +86,7 @@ def solve_mu_star(sys, phi, t, x, xi, lam_init, tol: float = 1e-11,
     raise NewtonError("mu_star Newton did not converge", abs(float(np.real(npoly.polyval(lam, c1)))))
 
 
-def solve_tau_star(sys, phi, x, xi, tol: float = 1e-11, lam_init=None,
-                   maxiter: int = 50, t_init: float = 0.0) -> float:
+def solve_tau_star(sys, phi, x, xi, lam_init=None) -> float:
     """Newton on t -> P(t, x, xi, mu_star(t,x,xi)), from t = 0.
 
     On the Newton path dP/dlambda(mu_star) = 0, so dP/dt matters alone:
@@ -98,15 +94,15 @@ def solve_tau_star(sys, phi, x, xi, tol: float = 1e-11, lam_init=None,
     """
     field = as_field(sys, phi)
     if lam_init is None:
-        vals = field.spectrum_at(t_init, x, xi).real
+        vals = field.spectrum_at(0.0, x, xi).real
         lam_init = _closest_pair_mean(vals)
-    t = float(t_init)
+    t = 0.0
     mu = float(lam_init)
-    for _ in range(maxiter):
-        mu = solve_mu_star(field, None, t, x, xi, mu, tol=tol)
+    for _ in range(_NEWTON_MAXITER):
+        mu = solve_mu_star(field, None, t, x, xi, mu)
         g = float(np.real(npoly.polyval(mu, field.coeffs(t, x, xi))))
-        if abs(g) <= tol:
-            if t < -tol * 10:
+        if abs(g) <= _NEWTON_TOL:
+            if t < -_NEWTON_TOL * 10:
                 warnings.warn(f"tau_star = {t:.3e} < 0: hyperbolicity already violated at t = 0")
             return t
         gp = float(np.real(npoly.polyval(mu, _dcoeffs_dt(field, t, x, xi))))
@@ -128,7 +124,7 @@ def _closest_pair_mean(vals: np.ndarray) -> float:
 
 
 def eval_e_factor(sys, phi, t, x, xi, lam, mu: float | None = None,
-                  tau_star: float | None = None, tol: float = 1e-12) -> float:
+                  tau_star: float | None = None) -> float:
     """e = e1/e2 with the two 16-node Gauss-Legendre integrals of the lemma:
     e1 = int_0^1 P_t((1-s) tau* + s t, x, xi, mu) ds,
     e2 = int_0^1 (1-s) P_lamlam(t, x, xi, (1-s) mu + s lam) ds.
@@ -148,24 +144,24 @@ def eval_e_factor(sys, phi, t, x, xi, lam, mu: float | None = None,
     for s, w in zip(_GL01_NODES, _GL01_WEIGHTS):
         lam_s = (1.0 - s) * mu + s * lam
         e2 += w * (1.0 - s) * npoly.polyval(lam_s, c2)
-    if abs(e2) < tol:
-        raise ValueError(f"degenerate quadratic part: |e2| = {abs(e2):.3e} < {tol:g}")
+    if abs(e2) < 1e-12:
+        raise ValueError(f"degenerate quadratic part: |e2| = {abs(e2):.3e} < 1e-12")
     e = e1 / e2
     return float(np.real(e))
 
 
-def compute_branch_data(sys, phi, x, xi, lam_init=None, tol: float = 1e-11) -> BranchData:
+def compute_branch_data(sys, phi, x, xi, lam_init=None) -> BranchData:
     """Solve mu_star/tau_star and freeze the e-factor at lambda = mu."""
     field = as_field(sys, phi)
     if lam_init is None:
         lam_init = _closest_pair_mean(field.spectrum_at(0.0, x, xi).real)
-    tau = solve_tau_star(field, None, x, xi, tol=tol, lam_init=lam_init)
-    mu = solve_mu_star(field, None, tau, x, xi, lam_init, tol=tol)
+    tau = solve_tau_star(field, None, x, xi, lam_init=lam_init)
+    mu = solve_mu_star(field, None, tau, x, xi, lam_init)
     e0 = eval_e_factor(field, None, tau, x, xi, mu, mu=mu, tau_star=tau)
     resid = abs(float(np.real(npoly.polyval(mu, field.coeffs(tau, x, xi)))))
     return BranchData(mu=mu, tau_star=tau, e0=e0, f0=e0,
                       newton_iters=0, newton_residual=resid,
-                      negative_tau_flag=bool(tau < -10 * tol))
+                      negative_tau_flag=bool(tau < -10 * _NEWTON_TOL))
 
 
 def _hermitian_sup(field, t, x, xi, lam0):
@@ -175,15 +171,16 @@ def _hermitian_sup(field, t, x, xi, lam0):
     return float(np.max(np.abs(np.linalg.eigvalsh(herm))))
 
 
-def lipschitz_c0(field, x0, xi0, lam0, delta: float = 0.1, nsamples: int = 8,
-                 seed: int = 0) -> float:
-    """Lipschitz slope of the Hermitian-part eigenvalue bound over the delta-ball."""
-    rng = np.random.default_rng(seed)
+def lipschitz_c0(field, x0, xi0, lam0) -> float:
+    """Lipschitz slope of the Hermitian-part eigenvalue bound, sampled at 8
+    seeded points on the sphere of radius delta = 0.1."""
+    delta = 0.1
+    rng = np.random.default_rng(0)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))
     h0 = _hermitian_sup(field, 0.0, x0, xi0, lam0)
     c0 = 0.0
-    for _ in range(nsamples):
+    for _ in range(8):
         dx = rng.normal(size=x0.shape)
         dxi = rng.normal(size=xi0.shape)
         dx *= delta / max(np.linalg.norm(dx), 1e-12)
@@ -194,7 +191,7 @@ def lipschitz_c0(field, x0, xi0, lam0, delta: float = 0.1, nsamples: int = 8,
 
 
 def growth_rate(classification, branch: BranchData | None, x=None, xi=None,
-                field=None, c0: float | None = None) -> tuple[float, float]:
+                field=None) -> tuple[float, float]:
     """(gamma-, gamma+) for the classified regime.
 
     ell = 0:   Im lambda0 -+ c0 (|x - x0| + |xi - xi0|), c0 a sampled Lipschitz slope;
@@ -207,8 +204,7 @@ def growth_rate(classification, branch: BranchData | None, x=None, xi=None,
     w = classification.witness
     if classification.ell == 0.0:
         lam0 = complex(w.lam)
-        if c0 is None:
-            c0 = lipschitz_c0(field, w.x, w.xi, lam0) if field is not None else 0.0
+        c0 = lipschitz_c0(field, w.x, w.xi, lam0) if field is not None else 0.0
         off = 0.0
         if x is not None:
             off += float(np.sum(np.abs(np.atleast_1d(x) - w.x)))
@@ -229,12 +225,11 @@ def growth_rate(classification, branch: BranchData | None, x=None, xi=None,
     return float(g), float(g)
 
 
-def eval_growth(env: GrowthEnvelope, gamma_choice: str, tau: float, t: float,
-                x=0.0, xi=0.0) -> float:
+def eval_growth(env: GrowthEnvelope, gamma_choice: str, tau: float, t: float) -> float:
     """Envelope value exp(gamma ((t - t*)_+^{l+1} - (tau - t*)_+^{l+1})), tau <= t."""
     if tau > t:
         raise ValueError("eval_growth requires tau <= t")
-    g = env.rate(gamma_choice, x, xi)
-    ts = env.t_star_at(x, xi)
+    g = float(env.gamma_minus if gamma_choice == "minus" else env.gamma_plus)
+    ts = float(env.t_star)
     p = env.ell + 1.0
     return float(np.exp(g * (max(t - ts, 0.0) ** p - max(tau - ts, 0.0) ** p)))

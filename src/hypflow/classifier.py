@@ -44,10 +44,10 @@ class Classification:
     witness: Optional[CotangentPoint]
     jet: Optional[CharPolyJet]
     tol: float
-    ell: Optional[float] = None
-    h: Optional[float] = None
-    zeta: Optional[float] = None
     details: dict = dfield(default_factory=dict)
+    ell: Optional[float] = dfield(default=None, init=False)
+    h: Optional[float] = dfield(default=None, init=False)
+    zeta: Optional[float] = dfield(default=None, init=False)
 
     def __post_init__(self):
         if self.regime in _ELL:
@@ -95,23 +95,22 @@ def _semisimple_rank_ok(a: np.ndarray, lam0: float, tol: float) -> bool:
     return small == 2
 
 
-def _ring_offsets(dim: int, count: int, radius: float, seed: int = 20) -> np.ndarray:
+def _ring_offsets(dim: int, count: int, radius: float) -> np.ndarray:
     """Deterministic unit directions in R^dim scaled to `radius`."""
     if dim == 2:
         ang = 2.0 * np.pi * np.arange(count) / count
         return radius * np.column_stack([np.cos(ang), np.sin(ang)])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20)
     v = rng.normal(size=(count, dim))
     v /= np.linalg.norm(v, axis=1)[:, None]
     return radius * v
 
 
 def check_semisimple_transition(sys, phi, omega0: CotangentPoint,
-                                tol: float = 1e-8,
-                                neighborhood_samples: int = 8,
-                                radius: float = 1e-2) -> bool:
+                                tol: float = 1e-8) -> bool:
     """Semisimple branching: P_t = 0 with (P_tlam)^2 < P_tt P_lamlam, the pair
-    semisimple, and both conditions persisting on a sampled ring around omega0."""
+    semisimple, and both conditions persisting on a ring of 8 points at
+    radius 1e-2 around omega0."""
     field = as_field(sys, phi)
     d = field.space_dim
 
@@ -131,7 +130,7 @@ def check_semisimple_transition(sys, phi, omega0: CotangentPoint,
     lam0 = float(np.real(omega0.lam))
     if not conditions_at(x0, xi0, lam0):
         return False
-    offs = _ring_offsets(2 * d, neighborhood_samples, radius)
+    offs = _ring_offsets(2 * d, 8, 1e-2)
     for o in offs:
         x = x0 + o[:d]
         xi = xi0 + o[d:]
@@ -177,9 +176,11 @@ def _coalescing_candidates(vals_real: np.ndarray, pair_tol: float):
     return clusters
 
 
-def classify(sys, phi, search_region: SearchRegion, tol: float = 1e-8,
-             strict: float = 1e-6, pair_tol: float = 1e-5,
-             neighborhood_samples: int = 8) -> Classification:
+_STRICT = 1e-6      # margin of the sign tests on Im lambda and on the jet
+_PAIR_TOL = 1e-5    # real eigenvalues closer than this form a coalescing pair
+
+
+def classify(sys, phi, search_region: SearchRegion, tol: float = 1e-8) -> Classification:
     """Scan the region and return the first regime whose conditions hold.
 
     Ellipticity is decided first (it needs no transition structure); then
@@ -193,7 +194,7 @@ def classify(sys, phi, search_region: SearchRegion, tol: float = 1e-8,
     best = None
     for x in search_region.xs:
         for xi in search_region.xis:
-            w = check_ellipticity(field, None, x, xi, tol=strict)
+            w = check_ellipticity(field, None, x, xi, tol=_STRICT)
             if w is not None and (best is None or w.lam.imag > best.lam.imag):
                 best = w
     if best is not None:
@@ -205,7 +206,7 @@ def classify(sys, phi, search_region: SearchRegion, tol: float = 1e-8,
     for x in search_region.xs:
         for xi in search_region.xis:
             vals = field.spectrum_at(0.0, x, xi)
-            for lam0, size in _coalescing_candidates(vals.real, pair_tol):
+            for lam0, size in _coalescing_candidates(vals.real, _PAIR_TOL):
                 omega = CotangentPoint(x, xi, complex(lam0))
                 jet = field.jet(omega)
                 if size > 2 or abs(jet.P_lamlam) <= tol:
@@ -214,16 +215,14 @@ def classify(sys, phi, search_region: SearchRegion, tol: float = 1e-8,
                     continue
                 p_ll = float(np.real(jet.P_lamlam))
                 p_t = float(np.real(jet.P_t))
-                if p_ll * p_t > strict * abs(p_ll):
+                if p_ll * p_t > _STRICT * abs(p_ll):
                     return Classification(NONSEMISIMPLE, omega, jet, tol)
-                if p_ll * p_t < -strict * abs(p_ll):
+                if p_ll * p_t < -_STRICT * abs(p_ll):
                     continue  # eigenvalues stay real for small t > 0
                 disc = float(np.real(jet.P_tlam) ** 2 - np.real(jet.P_tt) * p_ll)
-                if disc < -strict:
+                if disc < -_STRICT:
                     try:
-                        ok = check_semisimple_transition(
-                            field, None, omega, tol=tol,
-                            neighborhood_samples=neighborhood_samples)
+                        ok = check_semisimple_transition(field, None, omega, tol=tol)
                     except IndeterminateSignal as exc:
                         indeterminate = True
                         notes.append(str(exc))
@@ -232,7 +231,7 @@ def classify(sys, phi, search_region: SearchRegion, tol: float = 1e-8,
                         return Classification(SEMISIMPLE, omega, jet, tol)
                     indeterminate = True
                     notes.append(f"branching jet without semisimple structure at x={x}, xi={xi}")
-                elif disc > strict:
+                elif disc > _STRICT:
                     continue  # real splitting of the pair
                 else:
                     # fully degenerate second-order jet: a glued semisimple pair
@@ -260,7 +259,7 @@ class DiscriminantReport:
         return max(self.resid_first, self.resid_second)
 
 
-def discriminant_jet_crosscheck(field, x, xi, t_step: float = 1e-3) -> DiscriminantReport:
+def discriminant_jet_crosscheck(field, x, xi) -> DiscriminantReport:
     """Check d_t Delta(0) = -4 P0_t and d_t^2 Delta(0) = 2 P0_tlam^2 - 2 P0_ll P0_tt
     for a 2x2 block, Delta = tr^2 - 4 det sampled in t.
 
@@ -274,7 +273,7 @@ def discriminant_jet_crosscheck(field, x, xi, t_step: float = 1e-3) -> Discrimin
         c = field.coeffs(t, x, xi)   # lambda^2 + c1 lambda + c0
         return float(np.real(c[1] ** 2 - 4.0 * c[0]))
 
-    d1_fd, d2_fd, _, _ = _richardson_dt(delta, 0.0, t_step)
+    d1_fd, d2_fd, _, _ = _richardson_dt(delta, 0.0, 1e-3)
     c0 = field.coeffs(0.0, x, xi)
     lam0 = float(np.real(-c0[1] / 2.0))  # double-root location of the block
     jet = field.jet(CotangentPoint(x, xi, complex(lam0)))

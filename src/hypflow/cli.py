@@ -122,8 +122,7 @@ def _bundle_from_args(args):
         expected = SEMISIMPLE if f2 != 0 else PERSISTENT
         return examples.StateBundle(sysb, phi, expected, np.zeros(1), np.ones(1),
                                     examples.REGION_1D, vec,
-                                    e_vec=np.array([1j, 1.0]) / np.sqrt(2),
-                                    gamma_minus=abs(f2) / 2 if f2 else None)
+                                    e_vec=np.array([1j, 1.0]) / np.sqrt(2))
     try:
         return examples.get_state(args.example, args.state, **params)
     except (KeyError, ValueError) as exc:       # unknown name, or kgz |c| = 1
@@ -194,7 +193,7 @@ def cmd_airy(args) -> int:
                           f"0 <= t <= {airy.MAX_ABS:g}")
     if args.points < 1:
         raise ConfigError(f"--points {args.points}: the table needs at least one point")
-    cfg = {"t_max": args.t_max, "points": args.points, "seed": args.seed}
+    cfg = {"t_max": args.t_max, "points": args.points}
     header = canonical_config(cfg)
     ts = np.linspace(0.0, args.t_max, args.points)
     rows = []
@@ -215,12 +214,17 @@ def cmd_airy(args) -> int:
 
 def cmd_flow(args) -> int:
     ladder = _parse_ladder(args.eps_ladder, fit=True)
+    if not args.T_star > 0:
+        raise ConfigError(f"--T-star {args.T_star:g}: the observation-time scale "
+                          "must be positive")
+    if not args.model_f0 > 0:
+        raise ConfigError(f"--model-f0 {args.model_f0:g}: the model block needs f0 > 0")
     f0 = args.model_f0
     t_star = args.model_tstar
     gamma = (2.0 / 3.0) * math.sqrt(f0) * args.gamma_scale
     env = GrowthEnvelope(gamma, gamma, 0.5, t_star)
     cfg_dict = {"model_f0": f0, "model_tstar": t_star, "gamma_scale": args.gamma_scale,
-                "eps_ladder": args.eps_ladder, "T_star": args.T_star, "seed": args.seed}
+                "eps_ladder": args.eps_ladder, "T_star": args.T_star}
     header = canonical_config(cfg_dict)
     rows = []
     upper_values, lower_values = [], []
@@ -272,16 +276,15 @@ def cmd_quantize_check(args) -> int:
         vals += ck * np.exp(1j * k * grid.nodes)
     probe = GridFunction(grid, np.real(vals) + 0.2)
 
-    a_xi = SymbolSampler(lambda x, xi, e: np.tanh(xi) + 2.0, x_dependent=False, name="r(xi)")
-    b_slow = SymbolSampler(lambda x, xi, e: 1.0 + e ** (1 - h) * np.sin(x),
-                           slow_x=True, name="slow-x")
-    b_fast = SymbolSampler(lambda x, xi, e: 1.0 + 0.5 * np.sin(x), name="fast-x")
+    a_xi = SymbolSampler(lambda x, xi, e: np.tanh(xi) + 2.0, x_dependent=False)
+    b_slow = SymbolSampler(lambda x, xi, e: 1.0 + e ** (1 - h) * np.sin(x))
+    b_fast = SymbolSampler(lambda x, xi, e: 1.0 + 0.5 * np.sin(x))
     rep_slow = semiclassical.composition_residual(a_xi, b_slow, ladder, h, probe)
     rep_fast = semiclassical.composition_residual(a_xi, b_fast, ladder, h, probe)
 
     rows = []
     for i, eps in enumerate(ladder):
-        one = SymbolSampler(lambda x, xi, e: 1.0, x_dependent=False, name="1")
+        one = SymbolSampler(lambda x, xi, e: 1.0, x_dependent=False)
         ident = semiclassical.op_eps_apply(one, probe, eps, h)
         id_err = GridFunction(grid, ident.values - probe.values).l2_norm() / probe.l2_norm()
         est = semiclassical.operator_norm_estimate(a_xi, eps, h, [probe])
@@ -330,7 +333,7 @@ def cmd_simulate(args) -> int:
     cfg_dict = {"example": args.example, "state": args.state, "control": control,
                 "eps_ladder": args.eps_ladder, "K": params.K, "alpha": params.alpha,
                 "m": params.m, "delta": params.delta, "T_star": params.T_star,
-                "h": h, "gamma_minus": gamma, "seed": args.seed,
+                "h": h, "gamma_minus": gamma,
                 "filter_strength": args.filter_strength, "length": args.length}
     header = canonical_config(cfg_dict)
     tag = "control" if control else f"{args.example}_{args.state}"
@@ -363,9 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, example=False):
         sp.add_argument("--config", help="key=value or JSON config file")
         sp.add_argument("--out", default="", help="output directory")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=1e-8)
         if example:
+            sp.add_argument("--tol", type=float, default=1e-8,
+                            help="classification equality tolerance")
             sp.add_argument("--example", required=True)
             sp.add_argument("--state", default="witness")
             sp.add_argument("--alpha", type=float, default=None,
@@ -404,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("quantize-check", help="semiclassical calculus residuals")
     common(sp)
+    sp.add_argument("--seed", type=int, default=0, help="seed of the probe function")
     sp.add_argument("--eps-ladder", default="1e-2,1e-3,1e-4,1e-5")
     sp.set_defaults(func=cmd_quantize_check)
 

@@ -80,37 +80,25 @@ def _zero_source(t, xs, us):
     return np.zeros(us.shape)
 
 
-def van_der_waals(p: Callable | None = None, dp: Callable | None = None,
-                  d2p: Callable | None = None) -> SystemSpec:
+def van_der_waals() -> SystemSpec:
     """Isentropic Euler in Lagrangian coordinates, flux [[0,1],[p'(u1),0]].
 
-    The default pressure p(u) = u^3/3 - u has p' = u^2 - 1: negative on
+    The Van der Waals pressure p(u) = u^3/3 - u has p' = u^2 - 1: negative on
     (-1, 1), vanishing at +-1, realizing both the elliptic and the
-    non-semisimple regime.  ``p`` and ``dp`` act elementwise on arrays.
+    non-semisimple regime.
     """
-    if p is None:
-        p = lambda u: u ** 3 / 3.0 - u
-        dp = lambda u: u ** 2 - 1.0
-        d2p = lambda u: 2.0 * u
-    if dp is None:
-        hp = 1e-6
-        dp = lambda u: (p(u + hp) - p(u - hp)) / (2 * hp)
-
-    du = None
-    if d2p is not None:
-        def du_a1(t, x, u):
-            out = np.zeros((2, 2, 2))
-            out[1, 0, 0] = d2p(u[0])
-            return out
-        du = (du_a1,)
+    def du_a1(t, x, u):
+        out = np.zeros((2, 2, 2))
+        out[1, 0, 0] = 2.0 * u[0]
+        return out
 
     def a1(t, xs, us):
         out = np.zeros((us.shape[0], 2, 2))
         out[:, 0, 1] = 1.0
-        out[:, 1, 0] = dp(us[:, 0])
+        out[:, 1, 0] = us[:, 0] ** 2 - 1.0
         return out
 
-    return SystemSpec("van_der_waals", 1, 2, du_fluxes=du, fluxes_vec=(a1,),
+    return SystemSpec("van_der_waals", 1, 2, du_fluxes=(du_a1,), fluxes_vec=(a1,),
                       source_vec=_zero_source)
 
 
@@ -187,7 +175,7 @@ class StateBundle:
     notes: str = ""
 
 
-def constant_reference(values, d=1, dvalues_dt=None):
+def constant_reference(values, dvalues_dt=None):
     vals = np.asarray(values, dtype=float)
 
     if dvalues_dt is None:
@@ -200,7 +188,7 @@ def constant_reference(values, d=1, dvalues_dt=None):
         def vec(t, xs):
             return np.broadcast_to(vals + t * dv,
                                    (np.atleast_1d(xs).shape[0], vals.size))
-    return ReferenceSolution(initial=lambda x: vals, domain=Domain(2 * np.pi, d),
+    return ReferenceSolution(initial=lambda x: vals, domain=Domain(2 * np.pi, 1),
                              value=value), vec
 
 
@@ -271,7 +259,7 @@ def _vdw_states():
     return states
 
 
-def _kgz_states(alpha=1.0, c=0.5):
+def _kgz_states(alpha, c):
     states = {}
     sysk = kgz(alpha, c)
 
@@ -326,7 +314,7 @@ REGISTRY = {
         lambda **kw: _vdw_states()),
     "kgz": ExampleRegistryEntry(
         "kgz", "Klein-Gordon coupled to a wave equation, states (u,v,n,m)",
-        lambda alpha=1.0, c=0.5, **kw: _kgz_states(alpha, c),
+        lambda alpha, c, **kw: _kgz_states(alpha, c),
         default_params={"alpha": 1.0, "c": 0.5}),
     "symmetric-control": ExampleRegistryEntry(
         "symmetric-control", "symmetric hyperbolic control system",

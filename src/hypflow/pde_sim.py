@@ -40,7 +40,6 @@ class SolverConfig:
     t_final: float
     max_speed: float
     length: float = 2.0 * np.pi
-    filter_order: int = 8
     filter_strength: float = 36.0
     linf_cap: float = np.inf
     tail_cap: float = 0.1
@@ -100,7 +99,8 @@ def _march(rhs: Callable, state: np.ndarray, grid: Grid1D, cfg: SolverConfig,
     and at every sample time.  A state of Fourier coefficients at wavenumbers
     `filter_k` (None: physical space) is multiplied after each step by the
     exponential filter, whose strength is a damping rate per unit time at the
-    top mode, so refining dt leaves the filtered dynamics unchanged.
+    top mode, so refining dt leaves the filtered dynamics unchanged; its
+    order is 8.
     """
     n = grid.n
     n_steps = max(1, int(math.ceil(cfg.t_final / cfg.dt)))
@@ -108,7 +108,7 @@ def _march(rhs: Callable, state: np.ndarray, grid: Grid1D, cfg: SolverConfig,
     filt = None
     if filter_k is not None and cfg.filter_strength > 0:
         kmax = np.max(np.abs(filter_k))
-        filt = np.exp(-cfg.filter_strength * dt * (np.abs(filter_k) / kmax) ** (2 * cfg.filter_order))
+        filt = np.exp(-cfg.filter_strength * dt * (np.abs(filter_k) / kmax) ** 16)
     sample_every = max(1, n_steps // max(1, cfg.sample_count - 1))
     w = values(state)
     times = [0.0]
@@ -183,8 +183,7 @@ def evolve(sys: SystemSpec, u0: GridFunction, cfg: SolverConfig,
 def evolve_linearized(sys: SystemSpec, phi_vec: Callable, v0: GridFunction,
                       eps: float, h: float, x0: float, cfg: SolverConfig,
                       B_fn: Callable | None = None,
-                      observer: Callable | None = None,
-                      store_states: bool = True) -> Trajectory:
+                      observer: Callable | None = None) -> Trajectory:
     """Linearized evolution in the rescaled spatial frame (original time):
     d_t v + eps^(h-1) A1(t, x0 + eps^(1-h) x, phi) d_x v + B v = 0.
 
@@ -218,7 +217,7 @@ def evolve_linearized(sys: SystemSpec, phi_vec: Callable, v0: GridFunction,
     return _march(rhs, v0.values.T.astype(complex).copy(), grid, cfg,
                   lambda w: (w,), None,
                   lambda w, _: None if np.all(np.isfinite(w)) else "nan",
-                  observer, store_states)
+                  observer, True)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +229,7 @@ class HadamardParams:
     """Amplitude exponent K, Hoelder exponent alpha, Sobolev index m, ball
     radius delta, observation scale T_star, spatial scale h, and the lower
     growth rate used in the T_star gate.  Construction enforces the admissible
-    range of every paper-constrained inequality."""
+    range of every paper-constrained inequality, in space dimension d = 1."""
 
     K: float
     alpha: float
@@ -239,17 +238,16 @@ class HadamardParams:
     T_star: float
     h: float
     gamma_minus: float
-    d: int = 1
 
     def __post_init__(self):
         if not (0.5 < self.alpha <= 1.0):
             raise ValueError("alpha must lie in (1/2, 1]")
         lhs = (2 * self.alpha - 1) * self.K
-        rhs = 2 * self.alpha * self.m + (1 - self.alpha) * (1 - self.h) * self.d
+        rhs = 2 * self.alpha * self.m + (1 - self.alpha) * (1 - self.h)
         if not lhs > rhs:
             raise ValueError(
                 f"amplitude gate violated: (2a-1)K = {lhs:.3f} must exceed "
-                f"2am + (1-a)(1-h)d = {rhs:.3f}")
+                f"2am + (1-a)(1-h) = {rhs:.3f}")
         if not 2 * self.K_prime > self.K:
             raise ValueError(f"derived exponent gate violated: 2K' = "
                              f"{2 * self.K_prime:.3f} must exceed K = {self.K:.3f}")
@@ -260,7 +258,7 @@ class HadamardParams:
 
     @property
     def K_prime(self) -> float:
-        return self.alpha * (self.K - self.m) - (1 - self.alpha) * (1 - self.h) * self.d / 2.0
+        return self.alpha * (self.K - self.m) - (1 - self.alpha) * (1 - self.h) / 2.0
 
     @property
     def ell(self) -> float:
@@ -268,18 +266,6 @@ class HadamardParams:
 
     def T_eps(self, eps: float) -> float:
         return (self.T_star * abs(math.log(eps))) ** (1.0 / (1.0 + self.ell))
-
-    @staticmethod
-    def defaults(h: float, gamma_minus: float, m: float = 2.0, alpha: float = 0.6,
-                 delta: float = 0.7, d: int = 1) -> "HadamardParams":
-        """Smallest integer K passing the amplitude gate, T_star at 1.5x the
-        observation gate.  Note: at double precision these default exponents
-        put the packet below roundoff for eps <= 1e-2; experiments usually pass
-        explicit (m, alpha) closer to (1, 1)."""
-        rhs = 2 * alpha * m + (1 - alpha) * (1 - h) * d
-        K = math.floor(rhs / (2 * alpha - 1)) + 1
-        T_star = 1.5 * K / gamma_minus
-        return HadamardParams(K, alpha, m, delta, T_star, h, gamma_minus, d)
 
 
 @dataclass
@@ -375,8 +361,7 @@ def run_instability_experiment(sys: SystemSpec, phi, classification,
                                *, xi0: float = 1.0, x0: float = 0.0,
                                e_vec=None, phi_traj_vec: Callable | None = None,
                                length: float = 2.0 * np.pi, control: bool = False,
-                               filter_strength: float = 1e4, filter_order: int = 8,
-                               nodes_per_osc: int = 8, sample_count: int = 60,
+                               filter_strength: float = 1e4,
                                linf_cap: float | None = None, dt_safety: float = 1.0,
                                dump_dir: str | None = None) -> HadamardReport:
     """Wave-packet instability experiment across an eps ladder.
@@ -385,8 +370,10 @@ def run_instability_experiment(sys: SystemSpec, phi, classification,
     vector), evolves to eps^h T(eps), and reports the Hoelder ratio, the fitted
     packet growth exponent, and breakdowns (which count as instability
     findings, not failures).  `control=True` runs a stable system through the
-    identical pipeline, borrowing the scales in `params`.  The run draws no
-    random numbers, so it needs no seed.
+    identical pipeline, borrowing the scales in `params`.  The grid gives the
+    carrier at least 8 nodes per oscillation, the filter has order 8, and the
+    observer samples 60 times per run.  The run draws no random numbers, so it
+    needs no seed.
     """
     if not control and classification is not None and \
             classification.regime in (PERSISTENT, INDETERMINATE):
@@ -398,7 +385,7 @@ def run_instability_experiment(sys: SystemSpec, phi, classification,
     rows = []
     for eps in ladder:
         k0 = max(1, int(round(xi0 / eps * length / (2.0 * np.pi))))
-        n = 1 << max(4, int(math.ceil(math.log2(nodes_per_osc * k0))))
+        n = 1 << max(4, int(math.ceil(math.log2(8 * k0))))
         radius = eps ** (1.0 - h) * params.delta
         while 2.0 * radius / (length / n) < 16.0:
             n *= 2
@@ -422,18 +409,17 @@ def run_instability_experiment(sys: SystemSpec, phi, classification,
         dt = dt_safety * dt_nominal
         # filter_strength is quoted per nominal step; SolverConfig wants a rate
         cfg = SolverConfig(n=n, dt=dt, t_final=t_final, max_speed=speed,
-                           length=length, filter_order=filter_order,
-                           filter_strength=filter_strength / dt_nominal,
-                           linf_cap=cap, sample_count=sample_count)
+                           length=length, filter_strength=filter_strength / dt_nominal,
+                           linf_cap=cap)
         if phi_traj_vec is not None:
             def phi_at(t):
                 return np.asarray(phi_traj_vec(t, xs)).T
         else:
             phi_traj = evolve(sys, GridFunction(grid, phi0.T), cfg)
 
-            def phi_at(t, _traj=phi_traj):
-                idx = int(np.argmin(np.abs(_traj.times - t)))
-                return _traj.states[idx]
+            def phi_at(t):
+                idx = int(np.argmin(np.abs(phi_traj.times - t)))
+                return phi_traj.states[idx]
 
         obs_times, ball_norms, amps = [], [], []
         last_state = {}
@@ -471,8 +457,7 @@ def run_instability_experiment(sys: SystemSpec, phi, classification,
         "K": params.K, "alpha": params.alpha, "m": params.m,
         "delta": params.delta, "T_star": params.T_star, "h": h,
         "gamma_minus": gamma, "filter_strength": filter_strength,
-        "filter_order": filter_order, "nodes_per_osc": nodes_per_osc,
-        "length": length,
+        "filter_order": 8, "nodes_per_osc": 8, "length": length,
     }
     return HadamardReport(rows, meta)
 
@@ -544,29 +529,28 @@ class FreeSolutionReport:
 
 
 def free_solution_compare(sys: SystemSpec, phi, eps: float, classification,
-                          t_end: float, *, phi_vec: Callable,
-                          xi0: float = 1.0, x0: float = 0.0,
-                          e_vec=None, length: float = 2.0 * np.pi,
-                          nx_coarse: int = 128, dt_safety: float = 0.25,
-                          flow_steps: int = 1200, delta: float = 1.0,
+                          t_end: float, *, phi_vec: Callable, e_vec=None,
+                          dt_safety: float = 0.25,
                           sign: float = 1.0) -> FreeSolutionReport:
     """Relative error between the linearized evolution of a wave packet and the
     action of the quantized symbolic flow op_eps(S(0;t_end)) on the datum.
 
-    Elliptic frame (ell = 0): the advected symbol is A(eps t, x0 + x, xi) with
-    Q = Id, mu = 0.  `sign=-1` deliberately integrates the flow of -A* as a
-    detection sanity check.  The reference solution is sampled only through
-    phi_vec(t, xs) -> (n, N); `phi` is not read.
+    Elliptic frame (ell = 0) on the periodic box [-pi, pi): the packet has
+    carrier xi0 = 1 and a cutoff of radius 1 about x0 = 0, and the advected
+    symbol is A(eps t, x, xi) with Q = Id, mu = 0.  `sign=-1` deliberately
+    integrates the flow of -A* as a detection sanity check.  The reference
+    solution is sampled only through phi_vec(t, xs) -> (n, N); `phi` is not
+    read.
     """
     if classification is not None and classification.ell not in (0.0, None):
         raise NotImplementedError("free-solution comparison implemented for the elliptic frame")
     e_vec = _packet_direction(sys, e_vec)
     h = 1.0
-    k0 = max(1, int(round(xi0 / eps ** h * length / (2.0 * np.pi))))
+    length = 2.0 * np.pi
+    k0 = max(1, int(round(1.0 / eps ** h)))
     n = 1 << max(6, int(math.ceil(math.log2(8 * k0))))
     grid = Grid1D(n, length, x_left=-length / 2.0)
-    spec = WavePacketSpec(K=0.0, xi0=xi0, x0=0.0, eps=eps, h=h, delta=delta,
-                          e_vec=e_vec)
+    spec = WavePacketSpec(K=0.0, xi0=1.0, x0=0.0, eps=eps, h=h, e_vec=e_vec)
     v0 = build_wavepacket(spec, grid, frame="rescaled")
 
     flux = sys.fluxes_vec[0]
@@ -577,7 +561,7 @@ def free_solution_compare(sys: SystemSpec, phi, eps: float, classification,
     # the step size, which takes the largest speed among these samples so a
     # flux that grows in time does not under-resolve the run (a non-finite
     # sample is left to the linearized run, which stops on it)
-    samples = [flux(f * tau_end, x0 + xs, phi_vec(f * tau_end, x0 + xs))
+    samples = [flux(f * tau_end, xs, phi_vec(f * tau_end, xs))
                for f in (0.0, 0.37, 0.81, 1.0)]                # (n, N, N) each
     a0 = samples[0]
     frozen = all(np.max(np.abs(a - a0)) < 1e-13 * max(1.0, np.max(np.abs(a0)))
@@ -590,15 +574,15 @@ def free_solution_compare(sys: SystemSpec, phi, eps: float, classification,
     dt = dt_safety * 0.5 * length / (n * speed)
     cfg = SolverConfig(n=n, dt=dt, t_final=tau_end, max_speed=speed,
                        length=length, filter_strength=0.0, sample_count=2)
-    traj = evolve_linearized(sys, phi_vec, v0, eps, h, x0, cfg)
+    traj = evolve_linearized(sys, phi_vec, v0, eps, h, 0.0, cfg)
     if traj.breakdown is not None:
         raise RuntimeError(f"linearized run broke down ({traj.breakdown.reason}) "
                            f"at t = {traj.breakdown.time:.6g}")
     v_lin = traj.final                      # (N, n) complex
 
     # symbolic-flow side, applied to the datum mode by mode: the generator of
-    # mode k is i eps^(h-1) A(eps t, x0 + x, eps^h xi_k) = i eps^(2h-1) xi_k
-    # A1(eps t, x0 + x) by 1-homogeneity, and the Kohn-Nirenberg sum is
+    # mode k is i eps^(h-1) A(eps t, x, eps^h xi_k) = i eps^(2h-1) xi_k
+    # A1(eps t, x) by 1-homogeneity, and the Kohn-Nirenberg sum is
     # sum_k S_k(x) u^_k exp(i xi_k (x - x_left)) / n.
     uh = v0.hat()
     mags = np.max(np.abs(uh), axis=1)
@@ -610,16 +594,16 @@ def free_solution_compare(sys: SystemSpec, phi, eps: float, classification,
         xi = grid.freqs
         rel = xs - grid.x_left
         ncomp = v0.n_components
-        # batched RK4 for the vectors S(t) u^_k on a coarse grid, then a
-        # periodic spline in x per mode
-        xc = np.linspace(-length / 2.0, length / 2.0, nx_coarse, endpoint=False)
+        # batched RK4 (1200 steps) for the vectors S(t) u^_k on 128 coarse
+        # nodes, then a periodic spline in x per mode
+        xc = np.linspace(-length / 2.0, length / 2.0, 128, endpoint=False)
 
         def gen(t):
-            return _ModeGenerator(
-                pref * xi[ks], flux(eps * t, x0 + xc, phi_vec(eps * t, x0 + xc)))
+            return _ModeGenerator(pref * xi[ks], flux(eps * t, xc, phi_vec(eps * t, xc)))
 
         s = np.ascontiguousarray(np.broadcast_to(
-            uh[ks].T, (nx_coarse, ncomp, ks.size)), dtype=complex)
+            uh[ks].T, (xc.size, ncomp, ks.size)), dtype=complex)
+        flow_steps = 1200
         dtf = t_end / flow_steps
         g0 = gen(0.0)
         for i in range(flow_steps):

@@ -3,7 +3,7 @@
 op_eps(a) u = (2 pi)^-d int e^{i x xi} a(x, eps^h xi) u^(xi) d xi, realized on a
 uniform periodic grid: exact Fourier multiplier for x-independent symbols,
 Kohn-Nirenberg mode sum otherwise.  Also the instability datum: the modulated
-wave packet eps^K Re(op_eps(Q^-1)(e^{i y xi0 / eps^h} theta(y) e(y))).
+wave packet eps^K Re(e^{i y xi0 / eps^h} theta(y) e).
 """
 
 from __future__ import annotations
@@ -98,21 +98,18 @@ def load_grid_function(path: str) -> GridFunction:
 
 @dataclass
 class SymbolSampler:
-    """Callable symbol a(x, xi) with metadata used by the calculus checks.
+    """Callable scalar symbol a(x, xi) with metadata used by the calculus checks.
 
     fn(x, xi, eps): x is the node vector (or None for x-independent symbols),
-    xi the already-scaled frequency eps^h xi_k; returns a scalar/(n,) array for
-    scalar symbols, or (N,N)/(n,N,N) for matrix symbols.
+    xi the already-scaled frequency eps^h xi_k; returns a scalar or an (n,)
+    array.
     """
 
     fn: Callable
     order: int = 0
-    slow_x: bool = False
     x_dependent: bool = True
-    matrix: bool = False
-    name: str = "a"
 
-    def __call__(self, x, xi, eps=None):
+    def __call__(self, x, xi, eps):
         return self.fn(x, xi, eps)
 
 
@@ -124,7 +121,7 @@ def _significant_modes(u_hat: np.ndarray, threshold: float) -> np.ndarray:
     return np.nonzero(mags > threshold * cap)[0]
 
 
-def resolution_check(u: GridFunction, fraction: float = 1e-8) -> None:
+def resolution_check(u: GridFunction) -> None:
     """Reject grid functions with significant mass in the unresolvable band.
 
     Carriers need at least 8 nodes per oscillation, i.e. |k| <= n/8; mass above
@@ -137,7 +134,7 @@ def resolution_check(u: GridFunction, fraction: float = 1e-8) -> None:
     k_idx = np.abs(np.fft.fftfreq(u.grid.n) * u.grid.n)
     bad = k_idx > u.grid.n / 4
     frac = float(np.sum(np.abs(uh[bad]) ** 2) / power)
-    if frac > fraction:
+    if frac > 1e-8:
         kmax_sig = int(np.max(k_idx[np.max(np.abs(uh), axis=1) >
                                      1e-10 * np.max(np.abs(uh))]))
         raise ValueError(
@@ -145,44 +142,31 @@ def resolution_check(u: GridFunction, fraction: float = 1e-8) -> None:
             f"need n >= {8 * kmax_sig} nodes (currently {u.grid.n})")
 
 
-def op_eps_apply(a, u: GridFunction, eps: float, h: float,
-                 mode_threshold: float = 1e-14,
+def op_eps_apply(a: SymbolSampler, u: GridFunction, eps: float, h: float,
                  check_resolution: bool = True) -> GridFunction:
     """Apply op_eps(a) to u.
 
     Fourier multiplier path (exact) for x-independent symbols; otherwise a
-    Kohn-Nirenberg sum over the modes carrying relative mass > mode_threshold.
+    Kohn-Nirenberg sum over the modes carrying relative mass > 1e-14.
     """
-    if not isinstance(a, SymbolSampler):
-        a = SymbolSampler(a)
     if check_resolution and a.x_dependent:
         resolution_check(u)
     uh = u.hat()
     xis = eps ** h * u.grid.freqs
     n, ncomp = u.values.shape
     if not a.x_dependent:
-        if a.matrix:
-            mats = np.asarray([np.asarray(a(None, xi, eps), dtype=complex) for xi in xis])
-            out_hat = np.einsum("kij,kj->ki", mats, uh)
-        else:
-            vals = np.asarray([a(None, xi, eps) for xi in xis], dtype=complex)
-            out_hat = vals[:, None] * uh
-        return GridFunction(u.grid, np.fft.ifft(out_hat, axis=0))
-    ks = _significant_modes(uh, mode_threshold)
+        vals = np.asarray([a(None, xi, eps) for xi in xis], dtype=complex)
+        return GridFunction(u.grid, np.fft.ifft(vals[:, None] * uh, axis=0))
+    ks = _significant_modes(uh, 1e-14)
     x = u.grid.nodes
     rel = x - u.grid.x_left
     out = np.zeros((n, ncomp), dtype=complex)
     for k in ks:
         phase = np.exp(1j * u.grid.freqs[k] * rel) / n
         av = np.asarray(a(x, xis[k], eps), dtype=complex)
-        if a.matrix:
-            if av.ndim == 2:
-                av = np.broadcast_to(av, (n, ncomp, ncomp))
-            out += np.einsum("xij,j->xi", av, uh[k]) * phase[:, None]
-        else:
-            if av.ndim == 0:
-                av = np.full(n, complex(av))
-            out += (av * phase)[:, None] * uh[k][None, :]
+        if av.ndim == 0:
+            av = np.full(n, complex(av))
+        out += (av * phase)[:, None] * uh[k][None, :]
     return GridFunction(u.grid, out)
 
 
@@ -218,7 +202,7 @@ def smooth_cutoff(r, inner: float = 0.5, outer: float = 1.0):
 
 @dataclass
 class WavePacketSpec:
-    """Datum perturbation parameters: eps^K Re(op(Q^-1)(e^{i y xi0/eps^h} theta e))."""
+    """Datum perturbation parameters: eps^K Re(e^{i y xi0/eps^h} theta e)."""
 
     K: float
     xi0: float
@@ -226,20 +210,13 @@ class WavePacketSpec:
     eps: float
     h: float
     delta: float = 1.0
-    e_vec: np.ndarray | Callable = (1.0,)
-    cutoff: Callable | None = None
-    q_inv: SymbolSampler | None = None
+    e_vec: np.ndarray = (1.0,)
 
     def theta(self, y):
-        if self.cutoff is not None:
-            return self.cutoff(y)
         return smooth_cutoff(y, inner=self.delta / 2.0, outer=self.delta)
 
-    def direction(self, y) -> np.ndarray:
-        if callable(self.e_vec):
-            e = np.asarray(self.e_vec(y), dtype=complex)
-        else:
-            e = np.asarray(self.e_vec, dtype=complex)
+    def direction(self) -> np.ndarray:
+        e = np.asarray(self.e_vec, dtype=complex)
         return e / np.linalg.norm(e)
 
 
@@ -267,19 +244,7 @@ def build_wavepacket(spec: WavePacketSpec, grid: Grid1D,
                          f"need n >= {need}")
     theta = spec.theta(y)
     phase = np.exp(1j * carrier_freq * (x - (spec.x0 if frame == "original" else 0.0)))
-    ncomp = np.atleast_1d(spec.direction(0.0)).size
-    vals = np.zeros((grid.n, ncomp), dtype=complex)
-    if callable(spec.e_vec):
-        for i, yi in enumerate(y):
-            vals[i] = spec.direction(yi)
-        vals *= (theta * phase)[:, None]
-    else:
-        vals = np.outer(theta * phase, spec.direction(0.0))
-    if spec.q_inv is not None:
-        if frame != "rescaled":
-            raise NotImplementedError("basis symbol quantization only in the rescaled frame")
-        gf = GridFunction(grid, vals)
-        vals = op_eps_apply(spec.q_inv, gf, spec.eps, spec.h).values
+    vals = np.outer(theta * phase, spec.direction())
     return GridFunction(grid, spec.eps ** spec.K * np.real(vals).astype(complex))
 
 
@@ -306,14 +271,13 @@ def composition_residual(a: SymbolSampler, b: SymbolSampler, eps_ladder,
         bu = op_eps_apply(b, u_probe, eps, h)
         abu = op_eps_apply(a, bu, eps, h)
 
-        def prod_fn(x, xi, e=eps, _a=a, _b=b):
-            av = np.asarray(_a(x if _a.x_dependent else None, xi, e), dtype=complex)
-            bv = np.asarray(_b(x if _b.x_dependent else None, xi, e), dtype=complex)
+        def prod_fn(x, xi, e):
+            av = np.asarray(a(x if a.x_dependent else None, xi, e), dtype=complex)
+            bv = np.asarray(b(x if b.x_dependent else None, xi, e), dtype=complex)
             return av * bv
 
         prod = SymbolSampler(prod_fn, order=a.order + b.order,
-                             x_dependent=a.x_dependent or b.x_dependent,
-                             matrix=False, name=f"{a.name}*{b.name}")
+                             x_dependent=a.x_dependent or b.x_dependent)
         direct = op_eps_apply(prod, u_probe, eps, h)
         num = GridFunction(u_probe.grid, abu.values - direct.values).l2_norm()
         resids.append(num / u_probe.l2_norm())
@@ -326,14 +290,13 @@ def composition_residual(a: SymbolSampler, b: SymbolSampler, eps_ladder,
 
 
 def operator_norm_estimate(a: SymbolSampler, eps: float, h: float,
-                           probes: Sequence[GridFunction],
-                           m: float | None = None) -> float:
-    """Lower estimate of ||op_eps(a)||: max over probes of ||op(a)u|| / ||u||_{eps,-m}."""
-    m = a.order if m is None else m
+                           probes: Sequence[GridFunction]) -> float:
+    """Lower estimate of ||op_eps(a)||: max over probes of ||op(a)u|| /
+    ||u||_{eps,-m}, m the order of a."""
     best = 0.0
     for u in probes:
         num = op_eps_apply(a, u, eps, h, check_resolution=False).l2_norm()
-        den = eps_sobolev_norm(u, -m, eps, h)
+        den = eps_sobolev_norm(u, -a.order, eps, h)
         if den > 0:
             best = max(best, num / den)
     return best

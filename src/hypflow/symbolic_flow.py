@@ -32,7 +32,6 @@ class FlowConfig:
     eps: float
     ell: float
     T_star: float
-    delta: float = 0.1
     rtol: float = 1e-8
     atol: float = 1e-13
     max_step: float | None = None
@@ -70,7 +69,7 @@ def _companion_transform(b0: np.ndarray, tol: float) -> np.ndarray:
     return np.linalg.inv(tmat @ _SWAP)
 
 
-def block_reduce_2x2(a: np.ndarray, mu: float, tol: float = 1e-9):
+def block_reduce_2x2(a: np.ndarray, mu: float):
     """Split off the coalescing pair of `a` near eigenvalue mu.
 
     Returns (Q, A0, A1) with Q (A - mu) Q^-1 = diag(A0, A1), where the 2x2
@@ -81,6 +80,7 @@ def block_reduce_2x2(a: np.ndarray, mu: float, tol: float = 1e-9):
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
     b = a - mu * np.eye(n)
+    tol = 1e-9
     scale = max(1.0, float(np.max(np.abs(a))))
     if n == 2:
         q0 = _companion_transform(b, tol * scale)
@@ -288,17 +288,15 @@ class UpperBoundReport:
     entry_ratios: np.ndarray
 
 
-def verify_upper_bound(result: SymbolicFlowResult, env: GrowthEnvelope,
-                       zeta: float | None = None, x=0.0, xi=0.0) -> UpperBoundReport:
+def verify_upper_bound(result: SymbolicFlowResult, env: GrowthEnvelope) -> UpperBoundReport:
     """Per-entry ratios |S_ij| / (W_ij e_gamma+), W = [[1, eps^-zeta],[eps^zeta, 1]]."""
-    zeta = result.zeta if zeta is None else zeta
     n = result.samples.shape[1]
-    w = _block_weights(n, zeta, result.eps)
+    w = _block_weights(n, result.zeta, result.eps)
     worst = 0.0
     worst_t = result.tau
     acc = np.zeros((n, n))
     for t, s in zip(result.times, result.samples):
-        e = eval_growth(env, "plus", result.tau, float(t), x, xi)
+        e = eval_growth(env, "plus", result.tau, float(t))
         ratios = np.abs(s) / (w * e)
         acc = np.maximum(acc, ratios)
         m = float(np.max(ratios))
@@ -316,8 +314,8 @@ class LowerBoundReport:
 
 def verify_lower_bound(finals: Sequence[tuple[float, np.ndarray]],
                        env: GrowthEnvelope, e_sampler: Callable,
-                       eps: float, zeta: float, T: float, tau: float = 0.0,
-                       xi=0.0) -> LowerBoundReport:
+                       eps: float, zeta: float, T: float,
+                       tau: float = 0.0) -> LowerBoundReport:
     """min over x of |S(0;T,x,xi0) e(x)| eps^zeta / e_gamma-(0;T,x,xi0)."""
     labels = []
     ratios = []
@@ -325,7 +323,7 @@ def verify_lower_bound(finals: Sequence[tuple[float, np.ndarray]],
         evec = np.asarray(e_sampler(xval), dtype=complex)
         evec = evec / np.linalg.norm(evec)
         num = float(np.linalg.norm(s @ evec)) * eps ** zeta
-        den = eval_growth(env, "minus", tau, T, xval, xi)
+        den = eval_growth(env, "minus", tau, T)
         labels.append(xval)
         ratios.append(num / den)
     ratios = np.asarray(ratios)

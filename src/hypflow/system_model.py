@@ -26,14 +26,13 @@ def as_vec(x, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Domain:
-    """Periodic box [0, length)^dim (or a plain box when periodic=False)."""
+    """Periodic box [0, length)^dim."""
 
     length: float
     dim: int = 1
-    periodic: bool = True
 
 
-FD_STEP = 1e-5   # base step of the centered u- and t-differences
+FD_STEP = 1e-5   # base step of the centered u-, t- and x-differences
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,6 @@ class ReferenceSolution:
     domain: Domain
     value: Callable | None = None
     initial_dx: Callable | None = None
-    name: str = "phi"
 
     def at0(self, x) -> np.ndarray:
         return np.asarray(self.initial(as_vec(x, self.domain.dim)), dtype=float)
@@ -171,10 +169,9 @@ class TaylorExtendedSolution:
     Only meant for |t| << 1, which is all the jet evaluation needs.
     """
 
-    def __init__(self, sys: SystemSpec, phi: ReferenceSolution, x_step: float = 1e-5):
+    def __init__(self, sys: SystemSpec, phi: ReferenceSolution):
         self.sys = sys
         self.phi = phi
-        self.x_step = x_step
         self._cache: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def _phi0(self, x: np.ndarray) -> np.ndarray:
@@ -187,8 +184,8 @@ class TaylorExtendedSolution:
         d = self.sys.space_dim
         cols = []
         for j in range(d):
-            e = np.zeros(d); e[j] = self.x_step
-            cols.append((self._phi0(x + e) - self._phi0(x - e)) / (2 * self.x_step))
+            e = np.zeros(d); e[j] = FD_STEP
+            cols.append((self._phi0(x + e) - self._phi0(x - e)) / (2 * FD_STEP))
         return np.stack(cols, axis=-1)
 
     def _g(self, x: np.ndarray) -> np.ndarray:
@@ -213,8 +210,8 @@ class TaylorExtendedSolution:
         d = sys.space_dim
         dxg = []
         for j in range(d):
-            e = np.zeros(d); e[j] = self.x_step
-            dxg.append((self._g(x + e) - self._g(x - e)) / (2 * self.x_step))
+            e = np.zeros(d); e[j] = FD_STEP
+            dxg.append((self._g(x + e) - self._g(x - e)) / (2 * FD_STEP))
         g2 = sys.dt_F(0.0, x, u) + sys.du_F(0.0, x, u) @ g
         for j in range(d):
             g2 -= sys.dt_flux(j, 0.0, x, u) @ dxu[:, j]
@@ -307,7 +304,7 @@ def charpoly_coeffs(a: np.ndarray) -> np.ndarray:
     return c
 
 
-def aberth_roots(coeffs: np.ndarray, maxiter: int = 200, tol: float = 1e-13) -> np.ndarray:
+def aberth_roots(coeffs: np.ndarray) -> np.ndarray:
     """All roots of a polynomial (ascending coefficients) by Aberth-Ehrlich.
 
     Falls back to the companion-matrix QR solver (numpy.roots) when the
@@ -329,7 +326,7 @@ def aberth_roots(coeffs: np.ndarray, maxiter: int = 200, tol: float = 1e-13) -> 
     z = radius * np.exp(2j * np.pi * (k + 0.35) / n)
     scale = max(1.0, np.max(np.abs(c)))
     converged = False
-    for _ in range(maxiter):
+    for _ in range(200):
         p = npoly.polyval(z, c)
         dp = npoly.polyval(z, dc)
         newton = np.where(dp != 0, p / np.where(dp == 0, 1, dp), 0.0)
@@ -339,7 +336,7 @@ def aberth_roots(coeffs: np.ndarray, maxiter: int = 200, tol: float = 1e-13) -> 
         denom = 1.0 - newton * s
         step = newton / np.where(denom == 0, 1, denom)
         z = z - step
-        if np.max(np.abs(step)) <= tol * (1.0 + np.max(np.abs(z))):
+        if np.max(np.abs(step)) <= 1e-13 * (1.0 + np.max(np.abs(z))):
             converged = True
             break
     resid = np.abs(npoly.polyval(z, c))
@@ -407,25 +404,17 @@ class _BaseField:
     def symbol(self, t: float, x, xi) -> np.ndarray:
         raise NotImplementedError
 
-    def P(self, t: float, x, xi, lam: complex) -> complex:
-        return complex(npoly.polyval(lam, self.coeffs(t, x, xi)))
-
-    def P_lam(self, t: float, x, xi, lam: complex) -> complex:
-        return complex(npoly.polyval(lam, npoly.polyder(self.coeffs(t, x, xi))))
-
-    def P_lamlam(self, t: float, x, xi, lam: complex) -> complex:
-        return complex(npoly.polyval(lam, npoly.polyder(self.coeffs(t, x, xi), 2)))
-
     def spectrum_at(self, t: float, x, xi) -> np.ndarray:
         return sort_spectrum(aberth_roots(self.coeffs(t, x, xi)))
 
-    def jet(self, omega: CotangentPoint, t: float = 0.0, step: float = 1e-4) -> CharPolyJet:
-        """Six-entry jet of P at (t, omega).
+    def jet(self, omega: CotangentPoint) -> CharPolyJet:
+        """Six-entry jet of P at (t, omega), t = 0.
 
         lambda-derivatives come exactly from the characteristic coefficients;
         t-derivatives from centered differences of the coefficients with one
-        Richardson level (steps `step` and `step/2`).
+        Richardson level (steps 1e-4 and 5e-5).
         """
+        t, step = 0.0, 1e-4
         x, xi, lam = omega.x, omega.xi, omega.lam
         c1, c2, c0, c_step = _richardson_dt(lambda s: self.coeffs(s, x, xi), t, step)
         # noise heuristic: coefficient increments below the roundoff floor
@@ -464,11 +453,10 @@ class CharPolyField(_BaseField):
 class SymbolField(_BaseField):
     """Field built from a closed-form matrix symbol A(t,x,xi)."""
 
-    def __init__(self, symbol: Callable, space_dim: int, state_dim: int, name: str = "symbol"):
+    def __init__(self, symbol: Callable, space_dim: int, state_dim: int):
         self._symbol = symbol
         self.space_dim = space_dim
         self.state_dim = state_dim
-        self.name = name
 
     def symbol(self, t: float, x, xi) -> np.ndarray:
         x = as_vec(x, self.space_dim)

@@ -245,7 +245,7 @@ def test_criterion_10_semiclassical_residuals():
 
     h = 2.0 / 3.0
     a = SymbolSampler(lambda x, xi, e: np.tanh(xi) + 2.0, x_dependent=False)
-    b_slow = SymbolSampler(lambda x, xi, e: 1.0 + e ** (1 - h) * np.sin(x), slow_x=True)
+    b_slow = SymbolSampler(lambda x, xi, e: 1.0 + e ** (1 - h) * np.sin(x))
     comp = composition_residual(a, b_slow, [1e-2, 1e-3, 1e-4, 1e-5], h, probe)
     assert comp.fitted_order >= 0.9
 

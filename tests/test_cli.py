@@ -3,7 +3,11 @@ import json
 import pytest
 
 from hypflow import pde_sim
+from hypflow.branching import growth_rate
+from hypflow.classifier import classify
 from hypflow.cli import EXIT_BREAKDOWN, EXIT_CONFIG, EXIT_OK, main
+from hypflow.examples import REGION_1D, burgers1d, constant_reference
+from hypflow.system_model import as_field
 
 
 def run(argv, capsys):
@@ -240,13 +244,44 @@ def test_simulate_kgz_witness_runs(capsys, tmp_path):
     (["airy", "--t-max", "50"], "0 <= t <= 40"),
     (["airy", "--t-max", "-1"], "0 <= t <= 40"),
     (["airy", "--points", "-1"], "at least one point"),
+    (["flow", "--T-star", "-1"], "must be positive"),
+    (["flow", "--T-star", "0"], "must be positive"),
+    (["flow", "--model-f0", "-1"], "f0 > 0"),
 ], ids=["kgz-sonic", "unknown-state", "hadamard-gate", "bad-ladder",
-        "airy-t-max-high", "airy-t-max-negative", "airy-points"])
+        "airy-t-max-high", "airy-t-max-negative", "airy-points",
+        "flow-T-star-negative", "flow-T-star-zero", "flow-model-f0-negative"])
 def test_user_input_checks_are_config_errors(capsys, monkeypatch, argv, needle):
     seen = _capture_simulate(monkeypatch)
     code, _, err = run(argv, capsys)
     assert code == EXIT_CONFIG and needle in err
     assert not seen
+
+
+def test_options_a_command_never_reads_are_refused(capsys, tmp_path):
+    # --tol is read only by classify, branch and simulate, and --seed only by
+    # quantize-check; elsewhere neither flag nor config key exists
+    with pytest.raises(SystemExit) as exc:
+        main(["airy", "--tol", "1e-3"])
+    assert exc.value.code == EXIT_CONFIG
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\n")
+    code, _, err = run(["flow", "--out", str(tmp_path), "--config", str(cfg)], capsys)
+    assert code == EXIT_CONFIG and "'seed' names no option of flow" in err
+    assert not (tmp_path / "flow_envelope.csv").exists()
+
+
+def test_F2_rate_comes_from_growth_rate(capsys, tmp_path, monkeypatch):
+    # simulate --F2 takes its rate from the jet formula, as every bundle
+    # without a registry rate does
+    seen = _capture_simulate(monkeypatch)
+    code, _, err = run(["simulate", "--example", "burgers1d", "--F2", "2",
+                        "--out", str(tmp_path)], capsys)
+    assert code == EXIT_OK, err
+    sysb = burgers1d(1.0, (0.0, 2.0))
+    phi, _ = constant_reference((0.0, 0.0), dvalues_dt=(0.0, 2.0))
+    cl = classify(sysb, phi, REGION_1D)
+    rate = growth_rate(cl, None, field=as_field(sysb, phi))[0]
+    assert abs(seen["params"].gamma_minus - rate) <= 1e-6
 
 
 def test_program_value_error_is_not_config_error(capsys, tmp_path, monkeypatch):

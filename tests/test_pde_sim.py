@@ -281,9 +281,6 @@ def test_params_gates():
     with pytest.raises(ValueError, match="alpha"):
         HadamardParams(K=3.0, alpha=0.4, m=1.0, delta=0.7, T_star=20.0,
                        h=0.5, gamma_minus=0.5)
-    # documented defaults satisfy the gates even if numerically impractical
-    d = HadamardParams.defaults(h=0.5, gamma_minus=0.5)
-    assert d.m == 2.0 and d.alpha == 0.6 and d.K == 14
 
 
 def test_w1inf_ball_requires_nodes():

@@ -184,7 +184,7 @@ def test_composition_orders():
     grid = Grid1D(256, 2 * np.pi)
     u = smooth_probe(grid, seed=4)
     a = SymbolSampler(lambda x, xi, e: np.tanh(xi) + 2.0, x_dependent=False)
-    b_slow = SymbolSampler(lambda x, xi, e: 1.0 + e ** (1 - h) * np.sin(x), slow_x=True)
+    b_slow = SymbolSampler(lambda x, xi, e: 1.0 + e ** (1 - h) * np.sin(x))
     b_fast = SymbolSampler(lambda x, xi, e: 1.0 + 0.5 * np.sin(x))
     ladder = [1e-2, 1e-3, 1e-4, 1e-5]
     rep_slow = composition_residual(a, b_slow, ladder, h, u)

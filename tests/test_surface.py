@@ -1,5 +1,7 @@
 """Every public top-level function and class in src/hypflow has a caller in
-src/hypflow or perfbench/, so no surface exists for the tests alone."""
+src/hypflow or perfbench/, so no surface exists for the tests alone; and every
+option in src/hypflow is set by some caller, so no default stands for a
+configuration that nothing runs."""
 
 import ast
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hypflow"
 CALLERS = (PACKAGE, ROOT / "perfbench")
+OPTION_SETTERS = (ROOT / "src", ROOT / "perfbench", ROOT / "tests")
 
 # public names kept without a caller in src/ or perfbench/, with the reason
 EXEMPT = {
@@ -62,3 +65,105 @@ def test_every_public_name_has_a_caller():
 def test_exempt_names_exist():
     missing = sorted(set(EXEMPT) - set(_public_definitions()))
     assert not missing, f"exemptions name no definition: {missing}"
+
+
+# options kept although no call site sets them, with the reason
+OPTION_EXEMPT = {
+    "make_a_star_sampler(Q)": "the flow route to a registry growth rate passes the "
+                              "companion basis of block_reduce_2x2",
+}
+
+
+def _is_dataclass(cls):
+    for deco in cls.decorator_list:
+        f = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(f, "id", None) == "dataclass" or getattr(f, "attr", None) == "dataclass":
+            return True
+    return False
+
+
+def _init_false(value):
+    return isinstance(value, ast.Call) and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+        for k in value.keywords)
+
+
+def _options():
+    """(label, callee, name, slot) for every parameter with a default and every
+    dataclass field with a default in src/hypflow.  `callee` is the name call
+    sites use (the class for __init__ and dataclass fields); `slot` is the
+    positional index a call fills, None for keyword-only parameters."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if _is_dataclass(child):
+                    slot = 0
+                    for st in child.body:
+                        if not (isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)) \
+                                or _init_false(st.value):
+                            continue
+                        if st.value is not None:
+                            out.append((f"{child.name}({st.target.id})", child.name,
+                                        st.target.id, slot))
+                        slot += 1
+                visit(child, child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                method = isinstance(owner, ast.ClassDef) and not any(
+                    getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+                self_slots = 1 if method else 0
+                callee = owner.name if method and child.name == "__init__" else child.name
+                label = f"{owner.name}.{child.name}" if isinstance(owner, ast.ClassDef) \
+                    else child.name
+                first = len(positional) - len(args.defaults)
+                for i, a in enumerate(positional[first:], start=first):
+                    out.append((f"{label}({a.arg})", callee, a.arg, i - self_slots))
+                for a, d in zip(args.kwonlyargs, args.kw_defaults):
+                    if d is not None:
+                        out.append((f"{label}({a.arg})", callee, a.arg, None))
+                visit(child, child)
+            else:
+                visit(child, owner)
+
+    for tree in _trees(PACKAGE).values():
+        visit(tree, None)
+    return out
+
+
+def _call_sites():
+    """Per called name: (positional count, has *args, keyword names) of each call."""
+    sites = {}
+    for directory in OPTION_SETTERS:
+        for tree in _trees(directory).values():
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                sites.setdefault(name, []).append(
+                    (sum(not isinstance(a, ast.Starred) for a in node.args), starred,
+                     {k.arg for k in node.keywords if k.arg}))
+    return sites
+
+
+def _unset_options():
+    sites = _call_sites()
+    return sorted(
+        label for label, callee, name, slot in _options()
+        if not any(name in keywords or (slot is not None and (count > slot or starred))
+                   for count, starred, keywords in sites.get(callee, [])))
+
+
+def test_every_option_is_set():
+    # name-based: a call of `f` or `x.f` passing the option by keyword or
+    # filling its positional slot sets it, whatever `f` resolves to
+    unset = [label for label in _unset_options() if label not in OPTION_EXEMPT]
+    assert not unset, f"options no call site sets: {unset}"
+
+
+def test_option_exemptions_are_needed():
+    stale = sorted(set(OPTION_EXEMPT) - set(_unset_options()))
+    assert not stale, f"exempt options that exist and are set, or exist no more: {stale}"

@@ -190,18 +190,21 @@ def test_jet_kgz_identity():
 
 
 def test_jet_lambda_derivative_order_regression():
-    # analytic lambda-derivatives agree with centered FD to O(step^2):
-    # the fitted convergence order over a step ladder must be >= 1.9
+    # the jet's analytic P_lam agrees with centered FD of its P entry to
+    # O(step^2): the fitted convergence order over a step ladder must be >= 1.9
     sysk = kgz(0.7, 0.4)
     phi = const_phi((0.2, -0.3, 0.1, 0.05))
     field = as_field(sysk, phi)
+
+    def jet(lam):
+        return field.jet(CotangentPoint([0.0], [1.0], lam))
+
     lam = 0.37
-    exact = field.P_lam(0.0, [0.0], [1.0], lam)
+    exact = jet(lam).P_lam
     steps = np.array([0.1, 0.05, 0.025, 0.0125])
     errs = []
     for s in steps:
-        fd = (field.P(0.0, [0.0], [1.0], lam + s)
-              - field.P(0.0, [0.0], [1.0], lam - s)) / (2 * s)
+        fd = (jet(lam + s).P - jet(lam - s).P) / (2 * s)
         errs.append(abs(fd - exact))
     order = np.polyfit(np.log(steps), np.log(errs), 1)[0]
     assert order >= 1.9
