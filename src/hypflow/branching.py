@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .system_model import _richardson_dt, as_field
+from .system_model import _richardson, as_field
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL01_NODES = 0.5 * (_GL_NODES + 1.0)
@@ -63,7 +63,7 @@ _NEWTON_TOL = 1e-11
 
 
 def _dcoeffs_dt(field, t, x, xi):
-    return _richardson_dt(lambda s: field.coeffs(s, x, xi), t, 1e-4)[0]
+    return _richardson(lambda s: field.coeffs(s, x, xi), t, 1e-4)[0]
 
 
 def solve_mu_star(sys, phi, t, x, xi, lam_init) -> float:

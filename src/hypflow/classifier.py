@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .branching import NewtonError, solve_mu_star
-from .system_model import CharPolyJet, CotangentPoint, _richardson_dt, as_field
+from .system_model import CharPolyJet, CotangentPoint, _richardson, as_field
 
 ELLIPTIC = "Elliptic"
 NONSEMISIMPLE = "NonSemisimpleTransition"
@@ -273,7 +273,7 @@ def discriminant_jet_crosscheck(field, x, xi) -> DiscriminantReport:
         c = field.coeffs(t, x, xi)   # lambda^2 + c1 lambda + c0
         return float(np.real(c[1] ** 2 - 4.0 * c[0]))
 
-    d1_fd, d2_fd, _, _ = _richardson_dt(delta, 0.0, 1e-3)
+    d1_fd, d2_fd, _, _ = _richardson(delta, 0.0, 1e-3)
     c0 = field.coeffs(0.0, x, xi)
     lam0 = float(np.real(-c0[1] / 2.0))  # double-root location of the block
     jet = field.jet(CotangentPoint(x, xi, complex(lam0)))

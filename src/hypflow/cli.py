@@ -109,17 +109,23 @@ def _write_csv(path: str, header_lines, columns, rows) -> None:
 
 
 def _bundle_from_args(args):
+    """The state that --example, --state (default 'witness') and the system
+    parameters name.  --F2 builds its own burgers1d state, so it refuses
+    another example and a --state."""
+    if args.F2 is not None and (args.example != "burgers1d" or args.state is not None):
+        raise ConfigError("--F2 sets the source of its own burgers1d state: it takes "
+                          "--example burgers1d and no --state")
+    args.state = "witness" if args.state is None else args.state
     params = {}
     if getattr(args, "alpha", None) is not None:
         params["alpha"] = args.alpha
     if getattr(args, "c", None) is not None:
         params["c"] = args.c
-    if getattr(args, "F2", None) is not None and args.example == "burgers1d":
-        f2 = args.F2
-        sysb = examples.burgers1d(1.0, (0.0, f2))
-        phi, vec = examples.constant_reference((0.0, 0.0), dvalues_dt=(0.0, f2))
+    if args.F2 is not None:
+        sysb = examples.burgers1d(1.0, (0.0, args.F2))
+        phi, vec = examples.constant_reference((0.0, 0.0), dvalues_dt=(0.0, args.F2))
         from .classifier import PERSISTENT, SEMISIMPLE
-        expected = SEMISIMPLE if f2 != 0 else PERSISTENT
+        expected = SEMISIMPLE if args.F2 != 0 else PERSISTENT
         return examples.StateBundle(sysb, phi, expected, np.zeros(1), np.ones(1),
                                     examples.REGION_1D, vec,
                                     e_vec=np.array([1j, 1.0]) / np.sqrt(2))
@@ -324,12 +330,15 @@ def cmd_simulate(args) -> int:
             T_star=args.T_star if args.T_star else 1.5 * args.K / gamma)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    report = pde_sim.run_instability_experiment(
-        target.sys, target.phi, None if control else cl, params, ladder,
-        xi0=float(target.xi0[0]), x0=float(target.x0[0]), e_vec=target.e_vec,
-        phi_traj_vec=target.phi_traj_vec, control=control,
-        filter_strength=args.filter_strength, length=args.length,
-        dump_dir=_out_path(args, "states") if args.dump_states else None)
+    try:
+        report = pde_sim.run_instability_experiment(
+            target.sys, target.phi, None if control else cl, params, ladder,
+            xi0=float(target.xi0[0]), x0=float(target.x0[0]), e_vec=target.e_vec,
+            phi_traj_vec=target.phi_traj_vec, control=control,
+            filter_strength=args.filter_strength, length=args.length,
+            dump_dir=_out_path(args, "states") if args.dump_states else None)
+    except pde_sim.BoxLengthError as exc:
+        raise ConfigError(f"{exc}; pass a --length that is a period") from exc
     cfg_dict = {"example": args.example, "state": args.state, "control": control,
                 "eps_ladder": args.eps_ladder, "K": params.K, "alpha": params.alpha,
                 "m": params.m, "delta": params.delta, "T_star": params.T_star,
@@ -370,13 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--tol", type=float, default=1e-8,
                             help="classification equality tolerance")
             sp.add_argument("--example", required=True)
-            sp.add_argument("--state", default="witness")
+            sp.add_argument("--state", default=None, help="registry state (default: witness)")
             sp.add_argument("--alpha", type=float, default=None,
                             help="system parameter alpha (kgz)")
             sp.add_argument("--c", type=float, default=None,
                             help="system parameter c (kgz)")
             sp.add_argument("--F2", type=float, default=None,
-                            help="burgers1d source second component")
+                            help="burgers1d source second component (own state, no --state)")
 
     sp = sub.add_parser("list-examples", help="list registered systems and states")
     sp.set_defaults(func=cmd_list_examples)

@@ -53,20 +53,7 @@ def burgers1d(b: Callable | float = 1.0, F: Callable | tuple = (0.0, 0.0)) -> Sy
     scalar or an array of the batch shape.
     """
     a1, _, src = _burgers_fluxes(b, F)
-    du = None
-    if not callable(b):
-        bb = float(b) ** 2
-
-        def du_a1(t, x, u):
-            out = np.zeros((2, 2, 2))
-            out[0, 0, 0] = 1.0
-            out[1, 1, 0] = 1.0
-            out[0, 1, 1] = -bb
-            out[1, 0, 1] = 1.0
-            return out
-        du = (du_a1,)
-
-    return SystemSpec("burgers1d", 1, 2, du_fluxes=du, fluxes_vec=(a1,), source_vec=src)
+    return SystemSpec("burgers1d", 1, 2, fluxes_vec=(a1,), source_vec=src)
 
 
 def burgers2d(b: Callable | float = 1.0, F: Callable | tuple = (0.0, 0.0)) -> SystemSpec:
@@ -87,19 +74,13 @@ def van_der_waals() -> SystemSpec:
     (-1, 1), vanishing at +-1, realizing both the elliptic and the
     non-semisimple regime.
     """
-    def du_a1(t, x, u):
-        out = np.zeros((2, 2, 2))
-        out[1, 0, 0] = 2.0 * u[0]
-        return out
-
     def a1(t, xs, us):
         out = np.zeros((us.shape[0], 2, 2))
         out[:, 0, 1] = 1.0
         out[:, 1, 0] = us[:, 0] ** 2 - 1.0
         return out
 
-    return SystemSpec("van_der_waals", 1, 2, du_fluxes=(du_a1,), fluxes_vec=(a1,),
-                      source_vec=_zero_source)
+    return SystemSpec("van_der_waals", 1, 2, fluxes_vec=(a1,), source_vec=_zero_source)
 
 
 def kgz(alpha: float, c: float) -> SystemSpec:
@@ -124,22 +105,7 @@ def kgz(alpha: float, c: float) -> SystemSpec:
         out[:, 1] = -(us[:, 2] + 1.0) * us[:, 0]
         return out
 
-    def du_a1(t, x, u):
-        out = np.zeros((4, 4, 4))
-        out[3, 0, 0] = -2.0
-        out[3, 1, 1] = -2.0
-        return out
-
-    def du_src(t, x, u):
-        out = np.zeros((4, 4))
-        out[0, 1] = u[2] + 1.0
-        out[0, 2] = u[1]
-        out[1, 0] = -(u[2] + 1.0)
-        out[1, 2] = -u[0]
-        return out
-
-    return SystemSpec("kgz", 1, 4, du_fluxes=(du_a1,), du_source=du_src,
-                      fluxes_vec=(a1,), source_vec=src)
+    return SystemSpec("kgz", 1, 4, fluxes_vec=(a1,), source_vec=src)
 
 
 def symmetric_control() -> SystemSpec:

@@ -356,6 +356,18 @@ def _packet_direction(sys: SystemSpec, e_vec) -> np.ndarray:
     return np.asarray(e_vec, dtype=complex)
 
 
+class BoxLengthError(ValueError):
+    """The periodic box is not a period of the reference state."""
+
+
+def _check_period(phi, x0: float, length: float) -> None:
+    """Refuse a box whose two ends see different phi(0): the datum would jump there."""
+    ends = np.array([phi(0.0, [x0 + s * length / 2.0]) for s in (-1.0, 1.0)], dtype=float)
+    if not np.allclose(ends[0], ends[1], rtol=1e-8, atol=1e-8):
+        raise BoxLengthError(f"box length {length:.17g} is not a period of the reference: "
+                             f"phi(0) is {ends[0]} and {ends[1]} at its two ends")
+
+
 def run_instability_experiment(sys: SystemSpec, phi, classification,
                                params: HadamardParams, ladder: Sequence[float],
                                *, xi0: float = 1.0, x0: float = 0.0,
@@ -369,7 +381,8 @@ def run_instability_experiment(sys: SystemSpec, phi, classification,
     Builds the datum phi(0) + packet along `e_vec` (default: the first unit
     vector), evolves to eps^h T(eps), and reports the Hoelder ratio, the fitted
     packet growth exponent, and breakdowns (which count as instability
-    findings, not failures).  `control=True` runs a stable system through the
+    findings, not failures).  The box must be a period of phi(0), else
+    BoxLengthError.  `control=True` runs a stable system through the
     identical pipeline, borrowing the scales in `params`.  The grid gives the
     carrier at least 8 nodes per oscillation, the filter has order 8, and the
     observer samples 60 times per run.  The run draws no random numbers, so it
@@ -379,6 +392,7 @@ def run_instability_experiment(sys: SystemSpec, phi, classification,
             classification.regime in (PERSISTENT, INDETERMINATE):
         raise ValueError(f"no instability experiment in regime {classification.regime}")
     e_vec = _packet_direction(sys, e_vec)
+    _check_period(phi, x0, length)
     h = params.h
     ell = params.ell
     gamma = params.gamma_minus

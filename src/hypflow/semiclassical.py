@@ -98,7 +98,7 @@ def load_grid_function(path: str) -> GridFunction:
 
 @dataclass
 class SymbolSampler:
-    """Callable scalar symbol a(x, xi) with metadata used by the calculus checks.
+    """Callable scalar symbol a(x, xi) of order 0, flagged x-independent or not.
 
     fn(x, xi, eps): x is the node vector (or None for x-independent symbols),
     xi the already-scaled frequency eps^h xi_k; returns a scalar or an (n,)
@@ -106,7 +106,6 @@ class SymbolSampler:
     """
 
     fn: Callable
-    order: int = 0
     x_dependent: bool = True
 
     def __call__(self, x, xi, eps):
@@ -276,8 +275,7 @@ def composition_residual(a: SymbolSampler, b: SymbolSampler, eps_ladder,
             bv = np.asarray(b(x if b.x_dependent else None, xi, e), dtype=complex)
             return av * bv
 
-        prod = SymbolSampler(prod_fn, order=a.order + b.order,
-                             x_dependent=a.x_dependent or b.x_dependent)
+        prod = SymbolSampler(prod_fn, x_dependent=a.x_dependent or b.x_dependent)
         direct = op_eps_apply(prod, u_probe, eps, h)
         num = GridFunction(u_probe.grid, abu.values - direct.values).l2_norm()
         resids.append(num / u_probe.l2_norm())
@@ -291,12 +289,12 @@ def composition_residual(a: SymbolSampler, b: SymbolSampler, eps_ladder,
 
 def operator_norm_estimate(a: SymbolSampler, eps: float, h: float,
                            probes: Sequence[GridFunction]) -> float:
-    """Lower estimate of ||op_eps(a)||: max over probes of ||op(a)u|| /
-    ||u||_{eps,-m}, m the order of a."""
+    """Lower estimate of the L^2 operator norm of op_eps(a): max over probes
+    of ||op(a)u|| / ||u||."""
     best = 0.0
     for u in probes:
         num = op_eps_apply(a, u, eps, h, check_resolution=False).l2_norm()
-        den = eps_sobolev_norm(u, -a.order, eps, h)
+        den = sobolev_norm(u, 0.0)
         if den > 0:
             best = max(best, num / den)
     return best

@@ -32,12 +32,22 @@ class Domain:
     dim: int = 1
 
 
-FD_STEP = 1e-5   # base step of the centered u-, t- and x-differences
+def _richardson(f: Callable, t: float, step: float):
+    """First and second derivatives of f at t: centered differences with
+    steps `step` and `step/2`, combined by one Richardson level.
+
+    Returns (d1, d2, f(t), f(t + step)); f is evaluated five times.
+    """
+    f0 = f(t)
+    samples = [(s, f(t + s), f(t - s)) for s in (step / 2, step)]
+    d1 = [(fp - fm) / (2 * s) for s, fp, fm in samples]
+    d2 = [(fp - 2 * f0 + fm) / (s * s) for s, fp, fm in samples]
+    return (4.0 * d1[0] - d1[1]) / 3.0, (4.0 * d2[0] - d2[1]) / 3.0, f0, samples[1][1]
 
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Fluxes A_j(t,x,u), source F(t,x,u) and their u-derivatives.
+    """Fluxes A_j(t,x,u) and source F(t,x,u) of a system.
 
     A system is defined by its node-batched callables: ``fluxes_vec[j](t, xs,
     us)`` returns the real matrices A_j as an (n, N, N) array and
@@ -46,9 +56,8 @@ class SystemSpec:
     dimension and (n, d) otherwise.  Both are required.
 
     The per-point forms ``fluxes[j](t, x, u)`` (N x N) and ``source(t, x, u)``
-    (N) are derived from them as batches of one unless given.  Analytic
-    u-derivatives are optional; a centered difference with step
-    FD_STEP*(1+|u|) is used when absent.
+    (N) are derived from them as batches of one unless given.  A system supplies
+    no Jacobians: derivatives are Richardson differences (:func:`_richardson`).
     """
 
     name: str
@@ -56,8 +65,6 @@ class SystemSpec:
     state_dim: int
     fluxes: tuple | None = None
     source: Callable | None = None
-    du_fluxes: tuple | None = None
-    du_source: Callable | None = None
     fluxes_vec: tuple | None = None
     source_vec: Callable | None = None
 
@@ -80,37 +87,6 @@ class SystemSpec:
         u = as_vec(u, self.state_dim)
         return np.asarray(self.source(t, x, u), dtype=float)
 
-    def du_flux(self, j: int, t: float, x, u) -> np.ndarray:
-        """dA_j/du as an (N,N,N) tensor, [i,k,m] = d (A_j)_{ik} / d u_m."""
-        x = as_vec(x, self.space_dim)
-        u = as_vec(u, self.state_dim)
-        if self.du_fluxes is not None:
-            return np.asarray(self.du_fluxes[j](t, x, u), dtype=float)
-        return _fd_jacobian(lambda w: self.fluxes[j](t, x, w), u, FD_STEP)
-
-    def du_F(self, t: float, x, u) -> np.ndarray:
-        """dF/du as an (N,N) matrix, [i,m] = d F_i / d u_m."""
-        x = as_vec(x, self.space_dim)
-        u = as_vec(u, self.state_dim)
-        if self.du_source is not None:
-            return np.asarray(self.du_source(t, x, u), dtype=float)
-        return _fd_jacobian(lambda w: self.source(t, x, w), u, FD_STEP)
-
-    def dt_flux(self, j: int, t: float, x, u) -> np.ndarray:
-        """Explicit t-derivative of A_j at frozen (x,u), by centered differences."""
-        x = as_vec(x, self.space_dim)
-        u = as_vec(u, self.state_dim)
-        ap = np.asarray(self.fluxes[j](t + FD_STEP, x, u), dtype=float)
-        am = np.asarray(self.fluxes[j](t - FD_STEP, x, u), dtype=float)
-        return (ap - am) / (2.0 * FD_STEP)
-
-    def dt_F(self, t: float, x, u) -> np.ndarray:
-        x = as_vec(x, self.space_dim)
-        u = as_vec(u, self.state_dim)
-        fp = np.asarray(self.source(t + FD_STEP, x, u), dtype=float)
-        fm = np.asarray(self.source(t - FD_STEP, x, u), dtype=float)
-        return (fp - fm) / (2.0 * FD_STEP)
-
 
 def _batch_of_one(fn_vec: Callable, space_dim: int) -> Callable:
     """Per-point form fn(t, x, u), for float vectors x and u, of a
@@ -120,17 +96,6 @@ def _batch_of_one(fn_vec: Callable, space_dim: int) -> Callable:
     def one(t, x, u):
         return fn_vec(t, x.reshape(xs_shape), u.reshape(1, -1))[0]
     return one
-
-
-def _fd_jacobian(fun: Callable, u: np.ndarray, base_step: float) -> np.ndarray:
-    """Centered-difference derivative of fun(u) in u, stacked on a last axis."""
-    cols = []
-    for m in range(u.size):
-        h = base_step * (1.0 + abs(u[m]))
-        up = u.copy(); up[m] += h
-        um = u.copy(); um[m] -= h
-        cols.append((np.asarray(fun(up), dtype=float) - np.asarray(fun(um), dtype=float)) / (2 * h))
-    return np.stack(cols, axis=-1)
 
 
 @dataclass
@@ -163,10 +128,11 @@ class ReferenceSolution:
 class TaylorExtendedSolution:
     """Second-order time extension of phi(0,.) consistent with the PDE.
 
-    d_t phi is substituted from the equation, d_t phi = -sum_j A_j(phi)
-    d_{x_j} phi + F(phi), and differentiated once more (spatial derivatives by
-    centered differences) to reach phi(t,x) = phi0 + t g + t^2/2 g2 + O(t^3).
-    Only meant for |t| << 1, which is all the jet evaluation needs.
+    With R(t, u, d_x u) = F(t,x,u) - sum_j A_j(t,x,u) d_{x_j} u, g = d_t phi(0,.)
+    = R(0, phi0, d_x phi0), and g2 = d_t^2 phi(0,.) is the derivative of R along
+    the solution, of s -> R(s, phi0 + s g, d_x phi0 + s d_x g) at 0, a Richardson
+    difference like the x-derivatives.  phi(t,x) = phi0 + t g + t^2/2 g2 + O(t^3)
+    is meant for |t| << 1, which is all the jet evaluation needs.
     """
 
     def __init__(self, sys: SystemSpec, phi: ReferenceSolution):
@@ -174,49 +140,38 @@ class TaylorExtendedSolution:
         self.phi = phi
         self._cache: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def _phi0(self, x: np.ndarray) -> np.ndarray:
-        return self.phi.at0(x)
+    def _dx(self, f: Callable, x: np.ndarray) -> np.ndarray:
+        """(N, d) x-Jacobian of f at x."""
+        return np.stack([_richardson(lambda s: f(x + s * e), 0.0, 1e-4)[0]
+                         for e in np.eye(self.sys.space_dim)], axis=-1)
 
     def _dx_phi0(self, x: np.ndarray) -> np.ndarray:
         if self.phi.initial_dx is not None:
             return np.asarray(self.phi.initial_dx(x), dtype=float).reshape(
                 self.sys.state_dim, self.sys.space_dim)
-        d = self.sys.space_dim
-        cols = []
-        for j in range(d):
-            e = np.zeros(d); e[j] = FD_STEP
-            cols.append((self._phi0(x + e) - self._phi0(x - e)) / (2 * FD_STEP))
-        return np.stack(cols, axis=-1)
+        return self._dx(self.phi.at0, x)
+
+    def _rhs(self, t: float, x: np.ndarray, u: np.ndarray, dxu: np.ndarray) -> np.ndarray:
+        """R(t, u, d_x u) = F(t,x,u) - sum_j A_j(t,x,u) d_{x_j} u."""
+        out = self.sys.eval_source(t, x, u).copy()
+        for j in range(self.sys.space_dim):
+            out -= self.sys.flux(j, t, x, u) @ dxu[:, j]
+        return out
 
     def _g(self, x: np.ndarray) -> np.ndarray:
         """d_t phi(0,x) from the PDE."""
-        u = self._phi0(x)
-        dxu = self._dx_phi0(x)
-        out = self.sys.eval_source(0.0, x, u).copy()
-        for j in range(self.sys.space_dim):
-            out -= self.sys.flux(j, 0.0, x, u) @ dxu[:, j]
-        return out
+        return self._rhs(0.0, x, self.phi.at0(x), self._dx_phi0(x))
 
     def _coeffs(self, x: np.ndarray):
         key = x.tobytes()
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        sys = self.sys
-        u = self._phi0(x)
+        u = self.phi.at0(x)
         dxu = self._dx_phi0(x)
-        g = self._g(x)
-        # dx of g by centered differences (g is smooth in x)
-        d = sys.space_dim
-        dxg = []
-        for j in range(d):
-            e = np.zeros(d); e[j] = FD_STEP
-            dxg.append((self._g(x + e) - self._g(x - e)) / (2 * FD_STEP))
-        g2 = sys.dt_F(0.0, x, u) + sys.du_F(0.0, x, u) @ g
-        for j in range(d):
-            g2 -= sys.dt_flux(j, 0.0, x, u) @ dxu[:, j]
-            g2 -= np.einsum("ikm,m,k->i", sys.du_flux(j, 0.0, x, u), g, dxu[:, j])
-            g2 -= sys.flux(j, 0.0, x, u) @ dxg[j]
+        g = self._rhs(0.0, x, u, dxu)
+        dxg = self._dx(self._g, x)
+        g2 = _richardson(lambda s: self._rhs(s, x, u + s * g, dxu + s * dxg), 0.0, 1e-4)[0]
         out = (u, g, g2)
         self._cache[key] = out
         return out
@@ -379,19 +334,6 @@ def eval_principal_symbol(sys: SystemSpec, phi: ReferenceSolution | Callable,
     return mat
 
 
-def _richardson_dt(f: Callable, t: float, step: float):
-    """First and second t-derivatives of f at t: centered differences with
-    steps `step` and `step/2`, combined by one Richardson level.
-
-    Returns (d1, d2, f(t), f(t + step)); f is evaluated five times.
-    """
-    f0 = f(t)
-    samples = [(s, f(t + s), f(t - s)) for s in (step / 2, step)]
-    d1 = [(fp - fm) / (2 * s) for s, fp, fm in samples]
-    d2 = [(fp - 2 * f0 + fm) / (s * s) for s, fp, fm in samples]
-    return (4.0 * d1[0] - d1[1]) / 3.0, (4.0 * d2[0] - d2[1]) / 3.0, f0, samples[1][1]
-
-
 class _BaseField:
     """Shared jet evaluation on top of a `coeffs(t,x,xi)` implementation."""
 
@@ -416,7 +358,7 @@ class _BaseField:
         """
         t, step = 0.0, 1e-4
         x, xi, lam = omega.x, omega.xi, omega.lam
-        c1, c2, c0, c_step = _richardson_dt(lambda s: self.coeffs(s, x, xi), t, step)
+        c1, c2, c0, c_step = _richardson(lambda s: self.coeffs(s, x, xi), t, step)
         # noise heuristic: coefficient increments below the roundoff floor
         incr = np.max(np.abs(c_step - c0))
         noise = bool(incr < 1e3 * np.finfo(float).eps * max(1.0, np.max(np.abs(c0))))

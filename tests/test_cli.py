@@ -38,6 +38,30 @@ def test_classify_commands(capsys, tmp_path):
     assert code == EXIT_OK and "HyperbolicPersistent" in out
 
 
+def test_F2_with_another_example_is_config_error(capsys):
+    # --F2 builds a burgers1d state; vdw used to run with it silently unused
+    code, _, err = run(["classify", "--example", "vdw", "--state", "elliptic",
+                        "--F2", "5"], capsys)
+    assert code == EXIT_CONFIG and "--F2" in err
+
+
+def test_F2_with_a_state_is_config_error(capsys, tmp_path):
+    # the --F2 state used to stand in for any --state, even an unknown one
+    code, _, err = run(["classify", "--example", "burgers1d", "--F2", "1",
+                        "--state", "nonesuch", "--out", str(tmp_path)], capsys)
+    assert code == EXIT_CONFIG and "--F2" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_on_a_box_that_is_not_a_period_is_config_error(capsys, tmp_path):
+    # the witness is 2 pi-periodic; the default pi box used to exit 4 on a
+    # spectral_tail breakdown at the first steps
+    code, _, err = run(["simulate", "--example", "vdw", "--state", "witness",
+                        "--eps-ladder", "1e-2", "--out", str(tmp_path)], capsys)
+    assert code == EXIT_CONFIG and "not a period" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_branch_command(capsys):
     code, out, _ = run(["branch", "--example", "vdw", "--state", "witness"], capsys)
     assert code == EXIT_OK
@@ -226,12 +250,14 @@ def test_simulate_breakdown_exit_code(capsys, tmp_path):
 
 def test_simulate_kgz_witness_runs(capsys, tmp_path):
     # the kgz states carry no e_vec: the packet direction defaults to the
-    # first unit vector of the 4-component state
+    # first unit vector of the 4-component state.  The box is the witness's
+    # period 2 pi, on which the 1e-3 rung runs about 6 times longer than 5e-3
     code, _, err = run(["simulate", "--example", "kgz", "--state", "witness",
-                        "--eps-ladder", "1e-2,1e-3", "--out", str(tmp_path)], capsys)
+                        "--length", "6.283185307179586", "--eps-ladder", "1e-2,5e-3",
+                        "--out", str(tmp_path)], capsys)
     assert code in (EXIT_OK, EXIT_BREAKDOWN), err
     payload = json.loads((tmp_path / "hadamard_kgz_witness.json").read_text())
-    assert [r["eps"] for r in payload["rows"]] == [1e-2, 1e-3]
+    assert [r["eps"] for r in payload["rows"]] == [1e-2, 5e-3]
 
 
 @pytest.mark.parametrize("argv, needle", [

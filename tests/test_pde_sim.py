@@ -4,7 +4,8 @@ from scipy.linalg import expm
 
 from hypflow.classifier import classify
 from hypflow.examples import burgers1d, get_state, kgz
-from hypflow.pde_sim import (HadamardParams, SolverConfig, _frozen_synthesis,
+from hypflow.pde_sim import (BoxLengthError, HadamardParams, SolverConfig,
+                             _check_period, _frozen_synthesis,
                              breakdown_detector, evolve, evolve_linearized,
                              free_solution_compare, run_instability_experiment,
                              w1inf_ball)
@@ -305,6 +306,21 @@ def test_experiment_rejects_e_vec_of_wrong_length():
                             h=2.0 / 3.0, gamma_minus=0.5)
     with pytest.raises(ValueError, match="2 components.*state dimension 4"):
         run_instability_experiment(b.sys, b.phi, cl, params, [1e-2], e_vec=(1.0, 0.0))
+
+
+def test_experiment_refuses_a_box_that_is_not_a_period():
+    # the witnesses are 2 pi-periodic and not constant: on a pi box the
+    # periodized datum jumps at the box edge, which stopped the run at once
+    # on a spectral_tail breakdown that passed for a finding
+    params = HadamardParams(K=3.0, alpha=1.0, m=1.25, delta=0.7, T_star=9.0,
+                            h=2.0 / 3.0, gamma_minus=0.5)
+    for name in ("vdw", "kgz"):
+        b = get_state(name, "witness")
+        cl = classify(b.sys, b.phi, b.search_region)
+        with pytest.raises(BoxLengthError, match="not a period"):
+            run_instability_experiment(b.sys, b.phi, cl, params, [1e-2], length=np.pi)
+        _check_period(b.phi, 0.0, 2.0 * np.pi)
+    _check_period(get_state("burgers1d", "semisimple").phi, 0.0, 0.3)   # constant: any box
 
 
 def test_ratio_dt_convergence():

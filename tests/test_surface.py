@@ -167,3 +167,12 @@ def test_every_option_is_set():
 def test_option_exemptions_are_needed():
     stale = sorted(set(OPTION_EXEMPT) - set(_unset_options()))
     assert not stale, f"exempt options that exist and are set, or exist no more: {stale}"
+
+
+# settable values (options and fields with defaults) in src/hypflow; a change
+# that adds one raises this census in its own diff
+SETTABLE_VALUES = 77
+
+
+def test_settable_value_count():
+    assert len(_options()) <= SETTABLE_VALUES

@@ -239,6 +239,33 @@ def test_taylor_extension_vdw_second_order():
     assert np.max(np.abs(num - (u0 + t * g))) < 2e-5   # t^2 correction scale
 
 
+def test_taylor_extension_vdw_t2_coefficient():
+    # the extension is quadratic in t, so its second difference at t = +-1 is
+    # d_t^2 phi(0,x) exactly; by hand from phi1' = -dx phi2 and
+    # phi2' = -p'(phi1) dx phi1 with p'(u) = u^2 - 1:
+    #   phi1'' = 2 phi1 (dx phi1)^2 + p'(phi1) dxx phi1
+    #   phi2'' = 2 phi1 dx phi1 dx phi2 + p'(phi1) dxx phi2
+    sysv = van_der_waals()
+
+    def init(x):
+        return np.array([2.0 - np.cos(x[0]), 0.5 * np.sin(x[0])])
+
+    def init_dx(x):
+        return np.array([[np.sin(x[0])], [0.5 * np.cos(x[0])]])
+
+    x = np.array([0.3])
+    p1, p1x, p1xx = 2.0 - np.cos(x[0]), np.sin(x[0]), np.cos(x[0])
+    p2x, p2xx = 0.5 * np.cos(x[0]), -0.5 * np.sin(x[0])
+    dp = p1 ** 2 - 1.0
+    exact = np.array([2.0 * p1 * p1x ** 2 + dp * p1xx, 2.0 * p1 * p1x * p2x + dp * p2xx])
+    # without initial_dx, d_x g is a difference of a difference: ~3 digits fewer
+    for dx, bound in ((init_dx, 1e-11), (None, 1e-8)):
+        phi = ReferenceSolution(initial=init, domain=Domain(2 * np.pi, 1), initial_dx=dx)
+        ext = TaylorExtendedSolution(sysv, phi)
+        second = ext(1.0, x) - 2.0 * ext(0.0, x) + ext(-1.0, x)
+        assert np.max(np.abs(second - exact)) < bound
+
+
 def test_jet_method_tag_and_kgz_dual_eval():
     alpha, c = 1.0, 0.5
     sysk = kgz(alpha, c)
