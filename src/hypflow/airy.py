@@ -23,7 +23,6 @@ MAX_ABS = 40.0
 
 @dataclass(frozen=True)
 class AiryValue:
-    z: complex
     ai: complex
     aip: complex
 
@@ -32,8 +31,6 @@ class AiryValue:
 class VectorAiry:
     """Fundamental solution Z(tau;t) of Z' + [[0,1],[t,0]] Z = 0, Z(tau;tau) = Id."""
 
-    tau: float
-    t: float
     Z: np.ndarray
 
 
@@ -43,7 +40,7 @@ def airy_ai(z: complex) -> AiryValue:
     if abs(z) > MAX_ABS:
         raise ValueError(f"airy_ai documented for |z| <= {MAX_ABS}, got |z| = {abs(z):g}")
     ai, aip, _, _ = special.airy(z)
-    return AiryValue(z, complex(ai), complex(aip))
+    return AiryValue(complex(ai), complex(aip))
 
 
 def wronskian(tau: float) -> complex:
@@ -66,7 +63,7 @@ def vector_airy(tau: float, t: float) -> VectorAiry:
         [J * a_jtau.aip * a_t.aip - J * a_tau.aip * a_jt.aip,
          a_jtau.ai * a_t.aip - J * a_tau.ai * a_jt.aip],
     ], dtype=complex) / w
-    return VectorAiry(tau, t, Z)
+    return VectorAiry(Z)
 
 
 def airy_envelope(tau: float, t: float) -> float:
@@ -81,7 +78,6 @@ class AiryBoundsReport:
     C_upper: float
     c_lower: float
     C_oscillatory: float
-    n_pairs: int
 
     @property
     def ok(self) -> bool:
@@ -101,20 +97,18 @@ def verify_airy_bounds(t_grid) -> AiryBoundsReport:
         raise ValueError("verify_airy_bounds expects 0 <= tau <= t")
     C_up = 0.0
     c_low = math.inf
-    n_pairs = 0
     for i, tau in enumerate(ts):
         for t in ts[i:]:
             Z = vector_airy(tau, t).Z
             env = airy_envelope(tau, t) * (1 + tau) ** 0.25 * (1 + t) ** 0.25
             C_up = max(C_up, float(np.max(np.abs(Z))) / env)
-            n_pairs += 1
     for t in ts:
         if t <= 0.0:
             continue
         z12 = abs(vector_airy(0.0, t).Z[0, 1])
         c_low = min(c_low, z12 / airy_envelope(0.0, t))
     C_osc = max(abs(airy_ai(-t).ai) * t ** 0.25 for t in ts if t > 0)
-    return AiryBoundsReport(C_up, c_low, C_osc, n_pairs)
+    return AiryBoundsReport(C_up, c_low, C_osc)
 
 
 def model_block_sampler(eps: float, f0: float, t_star: float):

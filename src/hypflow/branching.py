@@ -86,16 +86,13 @@ def solve_mu_star(sys, phi, t, x, xi, lam_init) -> float:
     raise NewtonError("mu_star Newton did not converge", abs(float(np.real(npoly.polyval(lam, c1)))))
 
 
-def solve_tau_star(sys, phi, x, xi, lam_init=None) -> float:
-    """Newton on t -> P(t, x, xi, mu_star(t,x,xi)), from t = 0.
+def solve_tau_star(sys, phi, x, xi, lam_init) -> float:
+    """Newton on t -> P(t, x, xi, mu_star(t,x,xi)), from t = 0 and lam_init.
 
     On the Newton path dP/dlambda(mu_star) = 0, so dP/dt matters alone:
     g'(t) = P_t(t, x, xi, mu_star(t)).
     """
     field = as_field(sys, phi)
-    if lam_init is None:
-        vals = field.spectrum_at(0.0, x, xi).real
-        lam_init = _closest_pair_mean(vals)
     t = 0.0
     mu = float(lam_init)
     for _ in range(_NEWTON_MAXITER):
@@ -114,26 +111,12 @@ def solve_tau_star(sys, phi, x, xi, lam_init=None) -> float:
     raise NewtonError("tau_star Newton did not converge", abs(g))
 
 
-def _closest_pair_mean(vals: np.ndarray) -> float:
-    vals = np.sort(np.asarray(vals, dtype=float))
-    if vals.size < 2:
-        return float(vals[0])
-    gaps = np.diff(vals)
-    i = int(np.argmin(gaps))
-    return float(0.5 * (vals[i] + vals[i + 1]))
-
-
-def eval_e_factor(sys, phi, t, x, xi, lam, mu: float | None = None,
-                  tau_star: float | None = None) -> float:
+def eval_e_factor(sys, phi, t, x, xi, lam, mu: float, tau_star: float) -> float:
     """e = e1/e2 with the two 16-node Gauss-Legendre integrals of the lemma:
     e1 = int_0^1 P_t((1-s) tau* + s t, x, xi, mu) ds,
     e2 = int_0^1 (1-s) P_lamlam(t, x, xi, (1-s) mu + s lam) ds.
     """
     field = as_field(sys, phi)
-    if tau_star is None:
-        tau_star = solve_tau_star(field, None, x, xi, lam_init=np.real(lam))
-    if mu is None:
-        mu = solve_mu_star(field, None, tau_star, x, xi, np.real(lam))
     e1 = 0.0
     for s, w in zip(_GL01_NODES, _GL01_WEIGHTS):
         ts = (1.0 - s) * tau_star + s * t
@@ -150,11 +133,9 @@ def eval_e_factor(sys, phi, t, x, xi, lam, mu: float | None = None,
     return float(np.real(e))
 
 
-def compute_branch_data(sys, phi, x, xi, lam_init=None) -> BranchData:
-    """Solve mu_star/tau_star and freeze the e-factor at lambda = mu."""
+def compute_branch_data(sys, phi, x, xi, lam_init) -> BranchData:
+    """Solve mu_star/tau_star from lam_init and freeze the e-factor at lambda = mu."""
     field = as_field(sys, phi)
-    if lam_init is None:
-        lam_init = _closest_pair_mean(field.spectrum_at(0.0, x, xi).real)
     tau = solve_tau_star(field, None, x, xi, lam_init=lam_init)
     mu = solve_mu_star(field, None, tau, x, xi, lam_init)
     e0 = eval_e_factor(field, None, tau, x, xi, mu, mu=mu, tau_star=tau)

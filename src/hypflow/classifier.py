@@ -254,10 +254,6 @@ class DiscriminantReport:
     d2_fd: float
     d2_jet: float
 
-    @property
-    def max_residual(self) -> float:
-        return max(self.resid_first, self.resid_second)
-
 
 def discriminant_jet_crosscheck(field, x, xi) -> DiscriminantReport:
     """Check d_t Delta(0) = -4 P0_t and d_t^2 Delta(0) = 2 P0_tlam^2 - 2 P0_ll P0_tt

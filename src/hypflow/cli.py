@@ -20,8 +20,9 @@ import numpy as np
 from . import __version__, airy, branching, examples, pde_sim, semiclassical
 from . import symbolic_flow as sflow
 from .branching import GrowthEnvelope, compute_branch_data, growth_rate
-from .classifier import classify
-from .semiclassical import Grid1D, GridFunction, SymbolSampler
+from .classifier import PERSISTENT, SEMISIMPLE, classify
+from .semiclassical import Grid1D, GridFunction
+from .system_model import as_field
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,20 +112,16 @@ def _write_csv(path: str, header_lines, columns, rows) -> None:
 def _bundle_from_args(args):
     """The state that --example, --state (default 'witness') and the system
     parameters name.  --F2 builds its own burgers1d state, so it refuses
-    another example and a --state."""
-    if args.F2 is not None and (args.example != "burgers1d" or args.state is not None):
+    another example, a --state and the system parameters."""
+    params = {k: getattr(args, k) for k in ("alpha", "c") if getattr(args, k) is not None}
+    if args.F2 is not None and (args.example != "burgers1d" or args.state is not None
+                                or params):
         raise ConfigError("--F2 sets the source of its own burgers1d state: it takes "
-                          "--example burgers1d and no --state")
+                          "--example burgers1d and no --state, --alpha or --c")
     args.state = "witness" if args.state is None else args.state
-    params = {}
-    if getattr(args, "alpha", None) is not None:
-        params["alpha"] = args.alpha
-    if getattr(args, "c", None) is not None:
-        params["c"] = args.c
     if args.F2 is not None:
         sysb = examples.burgers1d(1.0, (0.0, args.F2))
         phi, vec = examples.constant_reference((0.0, 0.0), dvalues_dt=(0.0, args.F2))
-        from .classifier import PERSISTENT, SEMISIMPLE
         expected = SEMISIMPLE if args.F2 != 0 else PERSISTENT
         return examples.StateBundle(sysb, phi, expected, np.zeros(1), np.ones(1),
                                     examples.REGION_1D, vec,
@@ -133,6 +130,15 @@ def _bundle_from_args(args):
         return examples.get_state(args.example, args.state, **params)
     except (KeyError, ValueError) as exc:       # unknown name, or kgz |c| = 1
         raise ConfigError(exc.args[0]) from exc
+
+
+def _branch_data(bundle, cl):
+    """Branch data at the classified witness, from its eigenvalue; None unless
+    ell = 1/2, the one regime whose rate needs it."""
+    if cl.ell != 0.5:
+        return None
+    return compute_branch_data(bundle.sys, bundle.phi, cl.witness.x, cl.witness.xi,
+                               lam_init=float(np.real(cl.witness.lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +176,12 @@ def cmd_branch(args) -> int:
         print(f"regime {cl.regime}: no branching data")
         return EXIT_OK
     out = {"classification": cl.as_dict()}
-    if cl.ell == 0.5:
-        data = compute_branch_data(bundle.sys, bundle.phi, cl.witness.x, cl.witness.xi,
-                                   lam_init=float(np.real(cl.witness.lam)))
+    data = _branch_data(bundle, cl)
+    if data is not None:
         out["branch"] = data.as_dict()
-    else:
-        data = None
     try:
-        from .system_model import as_field
-        gm, gp = growth_rate(cl, data, field=as_field(bundle.sys, bundle.phi))
-        out["gamma_minus"], out["gamma_plus"] = gm, gp
+        out["gamma_minus"], out["gamma_plus"] = growth_rate(
+            cl, data, field=as_field(bundle.sys, bundle.phi))
     except ValueError as exc:
         out["gamma_note"] = str(exc)
     text = json.dumps(out, sort_keys=True, indent=2, default=str)
@@ -282,16 +284,17 @@ def cmd_quantize_check(args) -> int:
         vals += ck * np.exp(1j * k * grid.nodes)
     probe = GridFunction(grid, np.real(vals) + 0.2)
 
-    a_xi = SymbolSampler(lambda x, xi, e: np.tanh(xi) + 2.0, x_dependent=False)
-    b_slow = SymbolSampler(lambda x, xi, e: 1.0 + e ** (1 - h) * np.sin(x))
-    b_fast = SymbolSampler(lambda x, xi, e: 1.0 + 0.5 * np.sin(x))
-    rep_slow = semiclassical.composition_residual(a_xi, b_slow, ladder, h, probe)
-    rep_fast = semiclassical.composition_residual(a_xi, b_fast, ladder, h, probe)
+    def a_xi(x, xi, e):
+        return np.tanh(xi) + 2.0
+
+    rep_slow = semiclassical.composition_residual(
+        a_xi, lambda x, xi, e: 1.0 + e ** (1 - h) * np.sin(x), ladder, h, probe)
+    rep_fast = semiclassical.composition_residual(
+        a_xi, lambda x, xi, e: 1.0 + 0.5 * np.sin(x), ladder, h, probe)
 
     rows = []
     for i, eps in enumerate(ladder):
-        one = SymbolSampler(lambda x, xi, e: 1.0, x_dependent=False)
-        ident = semiclassical.op_eps_apply(one, probe, eps, h)
+        ident = semiclassical.op_eps_apply(lambda x, xi, e: 1.0, probe, eps, h)
         id_err = GridFunction(grid, ident.values - probe.values).l2_norm() / probe.l2_norm()
         est = semiclassical.operator_norm_estimate(a_xi, eps, h, [probe])
         rows.append((eps, rep_slow.residuals[i], rep_fast.residuals[i], id_err, est))
@@ -319,10 +322,8 @@ def cmd_simulate(args) -> int:
     if gamma is None:
         if cl.witness is None:
             raise ConfigError(f"regime {cl.regime}: no growth rate to measure against")
-        data = compute_branch_data(bundle.sys, bundle.phi, cl.witness.x,
-                                   cl.witness.xi) if cl.ell == 0.5 else None
-        from .system_model import as_field
-        gamma = growth_rate(cl, data, field=as_field(bundle.sys, bundle.phi))[0]
+        gamma = growth_rate(cl, _branch_data(bundle, cl),
+                            field=as_field(bundle.sys, bundle.phi))[0]
     h = cl.h if cl.h is not None else 0.5
     try:
         params = pde_sim.HadamardParams(
@@ -347,7 +348,9 @@ def cmd_simulate(args) -> int:
     header = canonical_config(cfg_dict)
     tag = "control" if control else f"{args.example}_{args.state}"
     csv_path = _out_path(args, f"hadamard_{tag}.csv")
-    report.write_csv(csv_path, header)
+    _write_csv(csv_path, header, list(pde_sim.HadamardRow.__dataclass_fields__),
+               [["" if v is None else v for v in r.as_dict().values()]
+                for r in report.rows])
     json_path = _out_path(args, f"hadamard_{tag}.json")
     with open(json_path, "w") as f:
         f.write(report.to_json() + "\n")
@@ -381,11 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--example", required=True)
             sp.add_argument("--state", default=None, help="registry state (default: witness)")
             sp.add_argument("--alpha", type=float, default=None,
-                            help="system parameter alpha (kgz)")
+                            help="system parameter alpha (kgz only)")
             sp.add_argument("--c", type=float, default=None,
-                            help="system parameter c (kgz)")
+                            help="system parameter c (kgz only)")
             sp.add_argument("--F2", type=float, default=None,
-                            help="burgers1d source second component (own state, no --state)")
+                            help="burgers1d source second component (own state: no --state, "
+                            "--alpha or --c)")
 
     sp = sub.add_parser("list-examples", help="list registered systems and states")
     sp.set_defaults(func=cmd_list_examples)

@@ -261,7 +261,6 @@ def _control_states():
 
 @dataclass
 class ExampleRegistryEntry:
-    name: str
     description: str
     make_states: Callable
     default_params: dict = dfield(default_factory=dict)
@@ -270,21 +269,17 @@ class ExampleRegistryEntry:
 
 REGISTRY = {
     "burgers1d": ExampleRegistryEntry(
-        "burgers1d", "2x2 Burgers family [[u1,-b^2 u2],[u2,u1]]",
-        lambda **kw: _burgers_states()),
+        "2x2 Burgers family [[u1,-b^2 u2],[u2,u1]]", _burgers_states),
     "burgers2d": ExampleRegistryEntry(
-        "burgers2d", "two-dimensional Burgers family (classification only)",
-        lambda **kw: _burgers2d_states(), symbol_only=True),
+        "two-dimensional Burgers family (classification only)", _burgers2d_states,
+        symbol_only=True),
     "vdw": ExampleRegistryEntry(
-        "vdw", "isentropic Euler with a Van der Waals pressure",
-        lambda **kw: _vdw_states()),
+        "isentropic Euler with a Van der Waals pressure", _vdw_states),
     "kgz": ExampleRegistryEntry(
-        "kgz", "Klein-Gordon coupled to a wave equation, states (u,v,n,m)",
-        lambda alpha, c, **kw: _kgz_states(alpha, c),
+        "Klein-Gordon coupled to a wave equation, states (u,v,n,m)", _kgz_states,
         default_params={"alpha": 1.0, "c": 0.5}),
     "symmetric-control": ExampleRegistryEntry(
-        "symmetric-control", "symmetric hyperbolic control system",
-        lambda **kw: _control_states()),
+        "symmetric hyperbolic control system", _control_states),
 }
 
 
@@ -293,9 +288,15 @@ def list_examples() -> list[str]:
 
 
 def get_states(name: str, **params) -> dict[str, StateBundle]:
+    """The states of example `name`; `params` override its default_params,
+    and a parameter the example does not take is a KeyError."""
     if name not in REGISTRY:
         raise KeyError(f"unknown example {name!r}; known: {', '.join(list_examples())}")
     entry = REGISTRY[name]
+    unknown = sorted(set(params) - set(entry.default_params))
+    if unknown:
+        raise KeyError(f"example {name!r} takes no parameter {', '.join(unknown)}; "
+                       f"its parameters: {sorted(entry.default_params) or 'none'}")
     kw = dict(entry.default_params)
     kw.update(params)
     return entry.make_states(**kw)

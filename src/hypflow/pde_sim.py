@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -42,7 +42,6 @@ class SolverConfig:
     length: float = 2.0 * np.pi
     filter_strength: float = 36.0
     linf_cap: float = np.inf
-    tail_cap: float = 0.1
     sample_count: int = 60
 
     def __post_init__(self):
@@ -60,7 +59,6 @@ class BreakdownInfo:
 
 @dataclass
 class Trajectory:
-    grid: Grid1D
     times: np.ndarray
     states: np.ndarray          # (m, N, n)
     breakdown: Optional[BreakdownInfo] = None
@@ -76,14 +74,15 @@ def breakdown_detector(values: np.ndarray, vh: np.ndarray,
     the kept band (a gradient the grid no longer resolves: the W^{1,inf} exit
     proxy), read off `vh`, the rfft of `values`.  The tail fraction weights
     modes by k^2 so that a forming shock (|u^_k| ~ 1/k) registers as an O(1)
-    fraction independent of resolution."""
+    fraction independent of resolution; a fraction above the fixed 0.1 stops
+    the run."""
     if not np.all(np.isfinite(values)):
         return "nan"
     if np.max(np.abs(values)) > cfg.linf_cap:
         return "linf_cap"
     dpow = np.sum(np.arange(vh.shape[-1], dtype=float) ** 2 * np.abs(vh) ** 2, axis=0)
     keep_max = cfg.n // 3
-    if np.sum(dpow[(2 * keep_max) // 3:keep_max + 1]) > cfg.tail_cap * np.sum(dpow):
+    if np.sum(dpow[(2 * keep_max) // 3:keep_max + 1]) > 0.1 * np.sum(dpow):
         return "spectral_tail"
     return None
 
@@ -138,7 +137,7 @@ def _march(rhs: Callable, state: np.ndarray, grid: Grid1D, cfg: SolverConfig,
                 observer(t, w[0])
         if breakdown is not None:
             break
-    return Trajectory(grid, np.asarray(times),
+    return Trajectory(np.asarray(times),
                       np.asarray(states) if store_states else np.zeros((0, state.shape[0], n)),
                       breakdown)
 
@@ -182,8 +181,7 @@ def evolve(sys: SystemSpec, u0: GridFunction, cfg: SolverConfig,
 
 def evolve_linearized(sys: SystemSpec, phi_vec: Callable, v0: GridFunction,
                       eps: float, h: float, x0: float, cfg: SolverConfig,
-                      B_fn: Callable | None = None,
-                      observer: Callable | None = None) -> Trajectory:
+                      B_fn: Callable | None = None) -> Trajectory:
     """Linearized evolution in the rescaled spatial frame (original time):
     d_t v + eps^(h-1) A1(t, x0 + eps^(1-h) x, phi) d_x v + B v = 0.
 
@@ -217,7 +215,7 @@ def evolve_linearized(sys: SystemSpec, phi_vec: Callable, v0: GridFunction,
     return _march(rhs, v0.values.T.astype(complex).copy(), grid, cfg,
                   lambda w: (w,), None,
                   lambda w, _: None if np.all(np.isfinite(w)) else "nan",
-                  observer, True)
+                  None, True)
 
 
 # ---------------------------------------------------------------------------
@@ -296,38 +294,20 @@ class HadamardReport:
                            "rows": [r.as_dict() for r in self.rows]},
                           sort_keys=True, default=str)
 
-    def write_csv(self, path: str, header_lines: Sequence[str] = ()) -> None:
-        cols = [f.name for f in fields(HadamardRow)]
-        with open(path, "w") as f:
-            for line in header_lines:
-                f.write(f"# {line}\n")
-            f.write(",".join(cols) + "\n")
-            for r in self.rows:
-                d = r.as_dict()
-                f.write(",".join("" if d[c] is None else
-                                 (f"{d[c]:.17g}" if isinstance(d[c], float) else str(d[c]))
-                                 for c in cols) + "\n")
-
-    def ratio_by_eps(self) -> dict:
-        return {r.eps: r.ratio for r in self.rows}
-
 
 def _wrap_dist(x: np.ndarray, x0: float, length: float) -> np.ndarray:
     d = np.abs((x - x0 + length / 2.0) % length - length / 2.0)
     return d
 
 
-def w1inf_ball(values: np.ndarray, grid: Grid1D, length: float,
-               x0: float, radius: float) -> float:
+def w1inf_ball(values: np.ndarray, grid: Grid1D, x0: float, radius: float) -> float:
     """W^{1,inf} norm of (N, n) values on the periodic ball |x - x0| <= radius,
     first derivative spectral."""
-    xs = grid.nodes
-    mask = _wrap_dist(xs, x0, length) <= radius
+    mask = _wrap_dist(grid.nodes, x0, grid.length) <= radius
     if not np.any(mask):
         raise ValueError("observation ball contains no grid node")
     vh = np.fft.fft(values, axis=-1)
-    kk = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=length / grid.n)
-    vx = np.fft.ifft(1j * kk * vh, axis=-1)
+    vx = np.fft.ifft(1j * grid.freqs * vh, axis=-1)
     return float(np.max(np.abs(values[:, mask])) + np.max(np.abs(vx[:, mask])))
 
 
@@ -441,7 +421,7 @@ def run_instability_experiment(sys: SystemSpec, phi, classification,
         def observer(t, vals):
             diff = vals - phi_at(t)
             obs_times.append(t)
-            ball_norms.append(w1inf_ball(diff, grid, length, x0, radius))
+            ball_norms.append(w1inf_ball(diff, grid, x0, radius))
             mask = _wrap_dist(xs, x0, length) <= radius
             amps.append(float(np.max(np.abs(diff[:, mask]))))
             if dump_dir is not None:
@@ -539,7 +519,6 @@ class FreeSolutionReport:
     rel_error: float
     n_nodes: int
     n_modes: int
-    t_end: float
 
 
 def free_solution_compare(sys: SystemSpec, phi, eps: float, classification,
@@ -633,4 +612,4 @@ def free_solution_compare(sys: SystemSpec, phi, eps: float, classification,
         out /= n
 
     err = np.linalg.norm(v_lin - out) / np.linalg.norm(v_lin)
-    return FreeSolutionReport(eps, float(err), n, ks.size, t_end)
+    return FreeSolutionReport(eps, float(err), n, ks.size)

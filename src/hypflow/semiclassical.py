@@ -96,22 +96,6 @@ def load_grid_function(path: str) -> GridFunction:
 # symbols and quantization
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SymbolSampler:
-    """Callable scalar symbol a(x, xi) of order 0, flagged x-independent or not.
-
-    fn(x, xi, eps): x is the node vector (or None for x-independent symbols),
-    xi the already-scaled frequency eps^h xi_k; returns a scalar or an (n,)
-    array.
-    """
-
-    fn: Callable
-    x_dependent: bool = True
-
-    def __call__(self, x, xi, eps):
-        return self.fn(x, xi, eps)
-
-
 def _significant_modes(u_hat: np.ndarray, threshold: float) -> np.ndarray:
     mags = np.max(np.abs(u_hat), axis=1)
     cap = np.max(mags)
@@ -141,31 +125,33 @@ def resolution_check(u: GridFunction) -> None:
             f"need n >= {8 * kmax_sig} nodes (currently {u.grid.n})")
 
 
-def op_eps_apply(a: SymbolSampler, u: GridFunction, eps: float, h: float,
-                 check_resolution: bool = True) -> GridFunction:
-    """Apply op_eps(a) to u.
+def op_eps_apply(a: Callable, u: GridFunction, eps: float, h: float) -> GridFunction:
+    """Apply op_eps(a) to u for a symbol a(x, xi, eps) of order 0, evaluated at
+    the nodes x and the scaled frequencies xi = eps^h xi_k.
 
-    Fourier multiplier path (exact) for x-independent symbols; otherwise a
-    Kohn-Nirenberg sum over the modes carrying relative mass > 1e-14.
+    A symbol that gives a scalar at every frequency ignores x: it is applied
+    as the exact Fourier multiplier.  Otherwise the field must pass
+    `resolution_check`, and op_eps(a) is the Kohn-Nirenberg sum over the modes
+    carrying relative mass > 1e-14.
     """
-    if check_resolution and a.x_dependent:
-        resolution_check(u)
     uh = u.hat()
     xis = eps ** h * u.grid.freqs
-    n, ncomp = u.values.shape
-    if not a.x_dependent:
-        vals = np.asarray([a(None, xi, eps) for xi in xis], dtype=complex)
-        return GridFunction(u.grid, np.fft.ifft(vals[:, None] * uh, axis=0))
-    ks = _significant_modes(uh, 1e-14)
     x = u.grid.nodes
+    vals = []
+    for xi in xis:
+        av = np.asarray(a(x, xi, eps), dtype=complex)
+        if av.ndim:
+            break
+        vals.append(av)
+    else:
+        return GridFunction(u.grid, np.fft.ifft(np.asarray(vals)[:, None] * uh, axis=0))
+    resolution_check(u)
+    n, ncomp = u.values.shape
     rel = x - u.grid.x_left
     out = np.zeros((n, ncomp), dtype=complex)
-    for k in ks:
+    for k in _significant_modes(uh, 1e-14):
         phase = np.exp(1j * u.grid.freqs[k] * rel) / n
-        av = np.asarray(a(x, xis[k], eps), dtype=complex)
-        if av.ndim == 0:
-            av = np.full(n, complex(av))
-        out += (av * phase)[:, None] * uh[k][None, :]
+        out += (np.asarray(a(x, xis[k], eps), dtype=complex) * phase)[:, None] * uh[k][None, :]
     return GridFunction(u.grid, out)
 
 
@@ -253,12 +239,11 @@ def build_wavepacket(spec: WavePacketSpec, grid: Grid1D,
 
 @dataclass
 class CompositionReport:
-    eps_values: np.ndarray
     residuals: np.ndarray
     fitted_order: float
 
 
-def composition_residual(a: SymbolSampler, b: SymbolSampler, eps_ladder,
+def composition_residual(a: Callable, b: Callable, eps_ladder,
                          h: float, u_probe: GridFunction) -> CompositionReport:
     """||op(a) op(b) u - op(ab) u|| / ||u|| across the ladder, with the order of
     the leading remainder fitted by log-log regression."""
@@ -269,14 +254,8 @@ def composition_residual(a: SymbolSampler, b: SymbolSampler, eps_ladder,
     for eps in eps_ladder:
         bu = op_eps_apply(b, u_probe, eps, h)
         abu = op_eps_apply(a, bu, eps, h)
-
-        def prod_fn(x, xi, e):
-            av = np.asarray(a(x if a.x_dependent else None, xi, e), dtype=complex)
-            bv = np.asarray(b(x if b.x_dependent else None, xi, e), dtype=complex)
-            return av * bv
-
-        prod = SymbolSampler(prod_fn, x_dependent=a.x_dependent or b.x_dependent)
-        direct = op_eps_apply(prod, u_probe, eps, h)
+        direct = op_eps_apply(lambda x, xi, e: np.asarray(a(x, xi, e), dtype=complex)
+                              * np.asarray(b(x, xi, e), dtype=complex), u_probe, eps, h)
         num = GridFunction(u_probe.grid, abu.values - direct.values).l2_norm()
         resids.append(num / u_probe.l2_norm())
     resids = np.asarray(resids)
@@ -284,16 +263,16 @@ def composition_residual(a: SymbolSampler, b: SymbolSampler, eps_ladder,
         order = float(np.polyfit(np.log(eps_arr), np.log(resids), 1)[0])
     else:
         order = np.inf
-    return CompositionReport(eps_arr, resids, order)
+    return CompositionReport(resids, order)
 
 
-def operator_norm_estimate(a: SymbolSampler, eps: float, h: float,
+def operator_norm_estimate(a: Callable, eps: float, h: float,
                            probes: Sequence[GridFunction]) -> float:
     """Lower estimate of the L^2 operator norm of op_eps(a): max over probes
     of ||op(a)u|| / ||u||."""
     best = 0.0
     for u in probes:
-        num = op_eps_apply(a, u, eps, h, check_resolution=False).l2_norm()
+        num = op_eps_apply(a, u, eps, h).l2_norm()
         den = sobolev_norm(u, 0.0)
         if den > 0:
             best = max(best, num / den)

@@ -24,17 +24,15 @@ from .system_model import as_field
 class FlowConfig:
     """Scales and integrator knobs for one flow run.
 
-    T(eps) obeys T^{ell+1} = T_star |log eps|.  The default step cap
-    0.01 eps^{1-h} resolves the fast phase of the stiffest entries; it can be
-    relaxed when the block is known to be gauge-equivalent to a slow system.
+    T(eps) obeys T^{ell+1} = T_star |log eps|.  `max_step` caps the adaptive
+    step; the local error test is relative (`rtol`) plus an absolute 1e-13.
     """
 
     eps: float
     ell: float
     T_star: float
+    max_step: float
     rtol: float = 1e-8
-    atol: float = 1e-13
-    max_step: float | None = None
     min_step: float = 1e-12
 
     def __post_init__(self):
@@ -43,8 +41,6 @@ class FlowConfig:
         self.h, self.zeta = scales_for_ell(self.ell)
         if not (0 < self.h <= 1 and 0 <= self.zeta < self.h):
             raise ValueError("invalid scales")
-        if self.max_step is None:
-            self.max_step = max(0.01 * self.eps ** (1.0 - self.h), 1e-6)
 
     @property
     def T_eps(self) -> float:
@@ -161,15 +157,12 @@ class SymbolicFlowResult:
     times: np.ndarray
     samples: np.ndarray          # (m, N, N), S(tau; times[k])
     tau: float
-    t_end: float
     eps: float
-    h: float
     zeta: float
     liouville_residual: float
     flow_residual: float
     n_steps: int
     n_rejected: int
-    trace_integrals: np.ndarray  # complex, int_tau^t tr(-G)
 
     @property
     def final(self) -> np.ndarray:
@@ -187,11 +180,10 @@ def _rk4(s: np.ndarray, dt: float, g0, gm, g1) -> np.ndarray:
 
 def integrate_symbolic_flow(a_star_sampler: Callable, cfg: FlowConfig,
                             tau: float, t_end: float,
-                            check_flow_property: bool = True,
-                            max_samples: int = 4000) -> SymbolicFlowResult:
+                            check_flow_property: bool = True) -> SymbolicFlowResult:
     """Adaptive RK4 (step doubling with local Richardson) for the matrix flow.
 
-    Records S on the accepted grid, the accumulated trace integral (for the
+    Records S at every accepted step, the accumulated trace integral (for the
     Liouville check) and, when requested, a midpoint flow-property residual
     ||S(tau;t) - S(t';t) S(tau;t')||.
     """
@@ -208,7 +200,7 @@ def integrate_symbolic_flow(a_star_sampler: Callable, cfg: FlowConfig,
     t = tau
     dt = min(cfg.max_step, max((t_end - tau) / 16.0, cfg.min_step))
     times = [tau]
-    samples = [s.copy()]
+    samples = [s]
     traces = [q]
     n_steps = 0
     n_rej = 0
@@ -225,7 +217,7 @@ def integrate_symbolic_flow(a_star_sampler: Callable, cfg: FlowConfig,
         s_two = _rk4(sh, 0.5 * dt, gm, g3, g1)
         scale = max(1.0, float(np.max(np.abs(s_two))))
         err = float(np.max(np.abs(s_two - s_one))) / scale
-        tol = cfg.rtol + cfg.atol / scale
+        tol = cfg.rtol + 1e-13 / scale
         if err > tol and dt <= cfg.min_step * 4:
             raise RuntimeError(
                 f"flow tolerance {tol:.1e} unreachable at the step floor; "
@@ -235,10 +227,9 @@ def integrate_symbolic_flow(a_star_sampler: Callable, cfg: FlowConfig,
             q += -dt / 6.0 * (np.trace(g0) + 4.0 * np.trace(gm) + np.trace(g1))
             t += dt
             n_steps += 1
-            if len(times) < max_samples or t >= t_end - 1e-12:
-                times.append(t)
-                samples.append(s.copy())
-                traces.append(q)
+            times.append(t)
+            samples.append(s)
+            traces.append(q)
             g0 = g1
         else:
             n_rej += 1
@@ -261,13 +252,13 @@ def integrate_symbolic_flow(a_star_sampler: Callable, cfg: FlowConfig,
         k = min(max(k, 1), times.size - 2)
         t_mid = float(times[k])
         sub = integrate_symbolic_flow(a_star_sampler, cfg, t_mid, t_end,
-                                      check_flow_property=False, max_samples=4)
+                                      check_flow_property=False)
         prod = sub.final @ samples[k]
         flow_res = float(np.max(np.abs(samples[-1] - prod))
                          / max(1.0, float(np.max(np.abs(samples[-1])))))
 
-    return SymbolicFlowResult(times, samples, tau, t_end, cfg.eps, cfg.h, cfg.zeta,
-                              liou, flow_res, n_steps, n_rej, traces)
+    return SymbolicFlowResult(times, samples, tau, cfg.eps, cfg.zeta,
+                              liou, flow_res, n_steps, n_rej)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +274,6 @@ def _block_weights(n: int, zeta: float, eps: float) -> np.ndarray:
 @dataclass
 class UpperBoundReport:
     max_ratio: float
-    argmax_time: float
-    n_samples: int
-    entry_ratios: np.ndarray
 
 
 def verify_upper_bound(result: SymbolicFlowResult, env: GrowthEnvelope) -> UpperBoundReport:
@@ -293,23 +281,15 @@ def verify_upper_bound(result: SymbolicFlowResult, env: GrowthEnvelope) -> Upper
     n = result.samples.shape[1]
     w = _block_weights(n, result.zeta, result.eps)
     worst = 0.0
-    worst_t = result.tau
-    acc = np.zeros((n, n))
     for t, s in zip(result.times, result.samples):
         e = eval_growth(env, "plus", result.tau, float(t))
-        ratios = np.abs(s) / (w * e)
-        acc = np.maximum(acc, ratios)
-        m = float(np.max(ratios))
-        if m > worst:
-            worst, worst_t = m, float(t)
-    return UpperBoundReport(worst, worst_t, len(result.times), acc)
+        worst = max(worst, float(np.max(np.abs(s) / (w * e))))
+    return UpperBoundReport(worst)
 
 
 @dataclass
 class LowerBoundReport:
     min_ratio: float
-    ratios: np.ndarray
-    labels: np.ndarray
 
 
 def verify_lower_bound(finals: Sequence[tuple[float, np.ndarray]],
@@ -317,17 +297,13 @@ def verify_lower_bound(finals: Sequence[tuple[float, np.ndarray]],
                        eps: float, zeta: float, T: float,
                        tau: float = 0.0) -> LowerBoundReport:
     """min over x of |S(0;T,x,xi0) e(x)| eps^zeta / e_gamma-(0;T,x,xi0)."""
-    labels = []
     ratios = []
     for xval, s in finals:
         evec = np.asarray(e_sampler(xval), dtype=complex)
         evec = evec / np.linalg.norm(evec)
         num = float(np.linalg.norm(s @ evec)) * eps ** zeta
-        den = eval_growth(env, "minus", tau, T)
-        labels.append(xval)
-        ratios.append(num / den)
-    ratios = np.asarray(ratios)
-    return LowerBoundReport(float(np.min(ratios)), ratios, np.asarray(labels))
+        ratios.append(num / eval_growth(env, "minus", tau, T))
+    return LowerBoundReport(float(np.min(ratios)))
 
 
 @dataclass
@@ -339,8 +315,6 @@ class LadderFit:
     above 1 on desk-scale ladders, which is what the bounded flags test.
     """
 
-    eps_values: np.ndarray
-    values: np.ndarray
     power_slope: float      # d log(value) / d log(eps)
     C: float                # value ~ C |log eps|^C'
     C_prime: float
@@ -365,4 +339,4 @@ def ladder_fit(eps_values, values) -> LadderFit:
     slope = float(np.polyfit(np.log(e), lv, 1)[0])
     ll = np.log(np.abs(np.log(e)))
     cprime, logc = np.polyfit(ll, lv, 1)
-    return LadderFit(e, v, slope, float(np.exp(logc)), float(cprime))
+    return LadderFit(slope, float(np.exp(logc)), float(cprime))

@@ -214,8 +214,6 @@ class CharPolyJet:
     P_t: complex
     P_tt: complex
     P_tlam: complex
-    omega: CotangentPoint
-    t: float
     method: str
     t_step: float
     noise_warning: bool = False
@@ -369,7 +367,6 @@ class _BaseField:
             P_t=complex(npoly.polyval(lam, c1)),
             P_tt=complex(npoly.polyval(lam, c2)),
             P_tlam=complex(npoly.polyval(lam, npoly.polyder(c1))),
-            omega=omega, t=t,
             method="analytic-coefficients/fd-time(richardson2)",
             t_step=step, noise_warning=noise,
         )

@@ -53,6 +53,24 @@ def test_F2_with_a_state_is_config_error(capsys, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_parameter_the_example_does_not_take_is_config_error(capsys):
+    # only kgz takes --alpha and --c; the others used to run with them unused,
+    # vdw printing the unchanged Elliptic result
+    code, out, err = run(["classify", "--example", "vdw", "--state", "elliptic",
+                          "--alpha", "3"], capsys)
+    assert code == EXIT_CONFIG and "takes no parameter alpha" in err and "regime" not in out
+    code, _, err = run(["branch", "--example", "burgers1d", "--state", "semisimple",
+                        "--c", "0.5"], capsys)
+    assert code == EXIT_CONFIG and "takes no parameter c" in err
+    code, _, err = run(["classify", "--example", "burgers1d", "--F2", "1",
+                        "--alpha", "3"], capsys)
+    assert code == EXIT_CONFIG and "--F2" in err
+    # the README's kgz parameters still run
+    code, out, _ = run(["classify", "--example", "kgz", "--alpha", "1", "--c", "0.5",
+                        "--state", "witness"], capsys)
+    assert code == EXIT_OK and "NonSemisimpleTransition" in out
+
+
 def test_simulate_on_a_box_that_is_not_a_period_is_config_error(capsys, tmp_path):
     # the witness is 2 pi-periodic; the default pi box used to exit 4 on a
     # spectral_tail breakdown at the first steps

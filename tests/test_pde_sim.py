@@ -147,7 +147,7 @@ def test_breakdown_near_shock_time():
     u0f = lambda x: 0.5 + 0.2 * np.sin(x)
     t_shock = 1.0 / 0.2
     cfg = SolverConfig(n=n, dt=2e-4, t_final=1.2 * t_shock, max_speed=0.9,
-                       linf_cap=5.0, tail_cap=0.1, sample_count=10)
+                       linf_cap=5.0, sample_count=10)
     traj = evolve(sysb, GridFunction(grid, u0f(grid.nodes).reshape(-1, 1)), cfg)
     assert traj.breakdown is not None
     assert abs(traj.breakdown.time - t_shock) <= 0.05 * t_shock
@@ -216,14 +216,9 @@ def test_linearized_elliptic_amplitude_law():
     cfg = SolverConfig(n=n, dt=eps / 300, t_final=t_end, max_speed=1.0,
                        filter_strength=0.0, sample_count=30)
     k0 = int(round(1.0 / eps))
-    amps, times = [], []
-
-    def obs(t, vals):
-        times.append(t)
-        amps.append(_band_amplitude(vals, grid, k0, 12))
-
-    evolve_linearized(sysb, phi_vec, v0, eps, h, 0.0, cfg, observer=obs)
-    slope = np.polyfit(np.asarray(times) / eps, np.log(amps), 1)[0]
+    traj = evolve_linearized(sysb, phi_vec, v0, eps, h, 0.0, cfg)
+    amps = [_band_amplitude(vals, grid, k0, 12) for vals in traj.states]
+    slope = np.polyfit(traj.times / eps, np.log(amps), 1)[0]
     assert abs(slope - 0.3) <= 0.05 * 0.3
 
 
@@ -254,14 +249,9 @@ def test_linearized_zero_order_term_changes_no_rate():
     k0 = int(round(1.0 / eps))
     rates = []
     for bf in (None, b_fn):
-        amps, times = [], []
-
-        def obs(t, vals):
-            times.append(t)
-            amps.append(_band_amplitude(vals, grid, k0, 12))
-
-        evolve_linearized(sysb, phi_vec, v0, eps, h, 0.0, cfg, B_fn=bf, observer=obs)
-        rates.append(np.polyfit(np.asarray(times) / eps, np.log(amps), 1)[0])
+        traj = evolve_linearized(sysb, phi_vec, v0, eps, h, 0.0, cfg, B_fn=bf)
+        amps = [_band_amplitude(vals, grid, k0, 12) for vals in traj.states]
+        rates.append(np.polyfit(traj.times / eps, np.log(amps), 1)[0])
     assert abs(rates[1] - rates[0]) <= 0.05 * abs(rates[0])
 
 
@@ -287,7 +277,7 @@ def test_params_gates():
 def test_w1inf_ball_requires_nodes():
     grid = Grid1D(64, 2 * np.pi)
     with pytest.raises(ValueError):
-        w1inf_ball(np.zeros((1, 64)), grid, 2 * np.pi, 0.049, 1e-6)
+        w1inf_ball(np.zeros((1, 64)), grid, 0.049, 1e-6)
 
 
 def test_experiment_rejects_stable_regime():

@@ -1,6 +1,7 @@
 """Every public top-level function and class in src/hypflow has a caller in
-src/hypflow or perfbench/, so no surface exists for the tests alone; and every
-option in src/hypflow is set by some caller, so no default stands for a
+src/hypflow or perfbench/, and every dataclass field and public method or
+property there has a reader, so no surface exists for the tests alone; and
+every option in src/hypflow is set by some caller, so no default stands for a
 configuration that nothing runs."""
 
 import ast
@@ -65,6 +66,57 @@ def test_every_public_name_has_a_caller():
 def test_exempt_names_exist():
     missing = sorted(set(EXEMPT) - set(_public_definitions()))
     assert not missing, f"exemptions name no definition: {missing}"
+
+
+# fields and methods kept without a reader in src/ or perfbench/, with the reason
+MEMBER_EXEMPT = {
+    "StateBundle.notes": "documents why each registry state hits its regime",
+    **{f"DiscriminantReport.{name}": "acceptance criterion 7 reads it"
+       for name in ("resid_first", "resid_second", "d1_fd", "d1_jet", "d2_fd", "d2_jet")},
+}
+
+
+def _members():
+    """(label, name) of every dataclass field and every public method or
+    property of a class in src/hypflow; classes that serialize themselves
+    with asdict(self) contribute no fields."""
+    out = []
+    for tree in _trees(PACKAGE).values():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            serialized = any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "asdict"
+                             for n in ast.walk(cls))
+            for st in cls.body:
+                if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name) \
+                        and _is_dataclass(cls) and not serialized:
+                    out.append((f"{cls.name}.{st.target.id}", st.target.id))
+                elif isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not st.name.startswith("_"):
+                    out.append((f"{cls.name}.{st.name}", st.name))
+    return out
+
+
+def _attribute_reads():
+    """Attribute names loaded anywhere in src/ or perfbench/ (name-based)."""
+    return {node.attr for directory in CALLERS for tree in _trees(directory).values()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_field_and_method_has_a_reader():
+    read = _attribute_reads()
+    unread = sorted(label for label, name in _members()
+                    if name not in read and label not in MEMBER_EXEMPT)
+    assert not unread, f"fields and methods read only by tests: {unread}"
+
+
+def test_member_exemptions_are_needed():
+    read = _attribute_reads()
+    members = dict(_members())
+    stale = sorted(label for label in MEMBER_EXEMPT
+                   if label not in members or members[label] in read)
+    assert not stale, f"exempt members that are read, or exist no more: {stale}"
 
 
 # options kept although no call site sets them, with the reason
@@ -171,7 +223,7 @@ def test_option_exemptions_are_needed():
 
 # settable values (options and fields with defaults) in src/hypflow; a change
 # that adds one raises this census in its own diff
-SETTABLE_VALUES = 77
+SETTABLE_VALUES = 65
 
 
 def test_settable_value_count():

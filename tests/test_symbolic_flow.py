@@ -12,11 +12,11 @@ from hypflow.system_model import SymbolField, as_field
 
 
 def test_flow_config_scales():
-    cfg = FlowConfig(eps=1e-3, ell=0.5, T_star=4.0)
+    cfg = FlowConfig(eps=1e-3, ell=0.5, T_star=4.0, max_step=0.02)
     assert abs(cfg.T_eps ** 1.5 - 4.0 * abs(np.log(1e-3))) < 1e-12
     assert cfg.h == 2.0 / 3.0 and cfg.zeta == 1.0 / 3.0
     with pytest.raises(ValueError):
-        FlowConfig(eps=2.0, ell=0.0, T_star=1.0)
+        FlowConfig(eps=2.0, ell=0.0, T_star=1.0, max_step=0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +118,15 @@ def test_flow_zero_generator_and_scalar_exponential():
     assert np.max(np.abs(res.final - np.eye(2))) < 1e-14
     res = integrate_symbolic_flow(lambda t: np.array([[1j]]), cfg, 0.0, 3.0)
     assert abs(abs(res.final[0, 0]) - np.exp(3.0)) <= 1e-8 * np.exp(3.0)
+
+
+def test_flow_records_every_accepted_step():
+    # 5,000 steps at the 1e-3 cap: a sample per step, none dropped
+    cfg = FlowConfig(eps=1e-2, ell=0.0, T_star=1.0, max_step=1e-3)
+    res = integrate_symbolic_flow(lambda t: np.zeros((2, 2)), cfg, 0.0, 5.0)
+    assert res.n_steps > 4000
+    assert len(res.times) == len(res.samples) == res.n_steps + 1
+    assert np.all(np.diff(res.times) > 0) and res.times[-1] == pytest.approx(5.0)
 
 
 def test_flow_composition_and_liouville_random():
@@ -252,7 +261,7 @@ def test_vdw_flow_matches_airy_end_to_end():
 
 
 def test_flow_unreachable_tolerance_raises():
-    cfg = FlowConfig(eps=1e-2, ell=0.0, T_star=1.0, rtol=1e-14, atol=0.0,
+    cfg = FlowConfig(eps=1e-2, ell=0.0, T_star=1.0, rtol=1e-14,
                      max_step=0.5, min_step=0.2)
     stiff = lambda t: 80.0 * np.array([[0.0, 1.0], [-1.0, 0.0]]) * (1 + np.sin(9 * t))
     with pytest.raises(RuntimeError, match="achieved local residual"):
