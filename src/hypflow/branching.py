@@ -34,15 +34,13 @@ class BranchData:
 
     mu: float
     tau_star: float
-    e0: float
     f0: float
-    newton_iters: int
     newton_residual: float
     negative_tau_flag: bool = False
 
     def as_dict(self) -> dict:
-        return {"mu": self.mu, "tau_star": self.tau_star, "e0": self.e0, "f0": self.f0,
-                "newton_iters": self.newton_iters, "newton_residual": self.newton_residual,
+        return {"mu": self.mu, "tau_star": self.tau_star, "f0": self.f0,
+                "newton_residual": self.newton_residual,
                 "negative_tau_flag": self.negative_tau_flag}
 
 
@@ -134,64 +132,33 @@ def eval_e_factor(sys, phi, t, x, xi, lam, mu: float, tau_star: float) -> float:
 
 
 def compute_branch_data(sys, phi, x, xi, lam_init) -> BranchData:
-    """Solve mu_star/tau_star from lam_init and freeze the e-factor at lambda = mu."""
+    """Solve mu_star/tau_star from lam_init and freeze the e-factor at lambda = mu:
+    f0 = e(tau_star, x, xi, mu)."""
     field = as_field(sys, phi)
     tau = solve_tau_star(field, None, x, xi, lam_init=lam_init)
     mu = solve_mu_star(field, None, tau, x, xi, lam_init)
-    e0 = eval_e_factor(field, None, tau, x, xi, mu, mu=mu, tau_star=tau)
+    f0 = eval_e_factor(field, None, tau, x, xi, mu, mu=mu, tau_star=tau)
     resid = abs(float(np.real(npoly.polyval(mu, field.coeffs(tau, x, xi)))))
-    return BranchData(mu=mu, tau_star=tau, e0=e0, f0=e0,
-                      newton_iters=0, newton_residual=resid,
+    return BranchData(mu=mu, tau_star=tau, f0=f0, newton_residual=resid,
                       negative_tau_flag=bool(tau < -10 * _NEWTON_TOL))
 
 
-def _hermitian_sup(field, t, x, xi, lam0):
-    a = field.symbol(t, x, xi).astype(complex)
-    m = 1j * (a - lam0 * np.eye(a.shape[0]))
-    herm = 0.5 * (m + m.conj().T)
-    return float(np.max(np.abs(np.linalg.eigvalsh(herm))))
-
-
-def lipschitz_c0(field, x0, xi0, lam0) -> float:
-    """Lipschitz slope of the Hermitian-part eigenvalue bound, sampled at 8
-    seeded points on the sphere of radius delta = 0.1."""
-    delta = 0.1
-    rng = np.random.default_rng(0)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))
-    h0 = _hermitian_sup(field, 0.0, x0, xi0, lam0)
-    c0 = 0.0
-    for _ in range(8):
-        dx = rng.normal(size=x0.shape)
-        dxi = rng.normal(size=xi0.shape)
-        dx *= delta / max(np.linalg.norm(dx), 1e-12)
-        dxi *= delta / max(np.linalg.norm(dxi), 1e-12)
-        h = _hermitian_sup(field, 0.0, x0 + dx, xi0 + dxi, lam0)
-        c0 = max(c0, abs(h - h0) / (np.sum(np.abs(dx)) + np.sum(np.abs(dxi))))
-    return c0
-
-
-def growth_rate(classification, branch: BranchData | None, x=None, xi=None,
+def growth_rate(classification, branch: BranchData | None,
                 field=None) -> tuple[float, float]:
     """(gamma-, gamma+) for the classified regime.
 
-    ell = 0:   Im lambda0 -+ c0 (|x - x0| + |xi - xi0|), c0 a sampled Lipschitz slope;
+    ell = 0:   both equal Im lambda0 at the witness;
     ell = 1/2: both equal (2/3) f0^{1/2};
     ell = 1:   both equal Im(dt lambda+)/2, from the quadratic (p3) in dt lambda.
+    `field` is not read.
     """
     regime = classification.regime
     if regime in ("HyperbolicPersistent", "Indeterminate"):
         raise ValueError(f"no growth rate in regime {regime}")
     w = classification.witness
     if classification.ell == 0.0:
-        lam0 = complex(w.lam)
-        c0 = lipschitz_c0(field, w.x, w.xi, lam0) if field is not None else 0.0
-        off = 0.0
-        if x is not None:
-            off += float(np.sum(np.abs(np.atleast_1d(x) - w.x)))
-        if xi is not None:
-            off += float(np.sum(np.abs(np.atleast_1d(xi) - w.xi)))
-        return lam0.imag - c0 * off, lam0.imag + c0 * off
+        g = complex(w.lam).imag
+        return g, g
     if classification.ell == 0.5:
         if branch is None:
             raise ValueError("ell = 1/2 rate requires branch data")

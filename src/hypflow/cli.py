@@ -22,7 +22,6 @@ from . import symbolic_flow as sflow
 from .branching import GrowthEnvelope, compute_branch_data, growth_rate
 from .classifier import PERSISTENT, SEMISIMPLE, classify
 from .semiclassical import Grid1D, GridFunction
-from .system_model import as_field
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -180,8 +179,7 @@ def cmd_branch(args) -> int:
     if data is not None:
         out["branch"] = data.as_dict()
     try:
-        out["gamma_minus"], out["gamma_plus"] = growth_rate(
-            cl, data, field=as_field(bundle.sys, bundle.phi))
+        out["gamma_minus"], out["gamma_plus"] = growth_rate(cl, data)
     except ValueError as exc:
         out["gamma_note"] = str(exc)
     text = json.dumps(out, sort_keys=True, indent=2, default=str)
@@ -322,8 +320,7 @@ def cmd_simulate(args) -> int:
     if gamma is None:
         if cl.witness is None:
             raise ConfigError(f"regime {cl.regime}: no growth rate to measure against")
-        gamma = growth_rate(cl, _branch_data(bundle, cl),
-                            field=as_field(bundle.sys, bundle.phi))[0]
+        gamma = growth_rate(cl, _branch_data(bundle, cl))[0]
     h = cl.h if cl.h is not None else 0.5
     try:
         params = pde_sim.HadamardParams(

@@ -2,8 +2,9 @@
 
 Provides the building blocks of the growth-envelope verification: the 2x2
 reduction of the coalescing pair, assembly of the rescaled advected symbol A*
-at the label (x, xi), adaptive matrix RK4 integration with flow and Liouville
-diagnostics, and the upper/lower envelope bound reports.
+at the label (x, xi), matrix flow integration with flow and Liouville
+diagnostics by the adaptive RK4 stepper that every symbolic flow shares, and
+the upper/lower envelope bound reports.
 """
 
 from __future__ import annotations
@@ -178,10 +179,56 @@ def _rk4(s: np.ndarray, dt: float, g0, gm, g1) -> np.ndarray:
     return s + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _adaptive_rk4(gen: Callable, s, t0: float, t1: float, rtol: float,
+                  max_step: float, min_step: float, on_accept: Callable):
+    """Step S' = -gen(t) S from t0 to t1 by RK4 with step doubling and local
+    Richardson extrapolation; gen(t) need only support `@` on the state.
+
+    The local error test is relative (`rtol`) plus an absolute 1e-13, both
+    against max(1, max|S|).  Every accepted step calls on_accept(t, dt, s, g0,
+    gm, g1) with the new time and state and the generators at the step's
+    start, middle and end.  Returns (s, accepted steps, rejected steps).
+    """
+    t = t0
+    dt = min(max_step, max((t1 - t0) / 16.0, min_step))
+    n_steps = 0
+    n_rej = 0
+    g0 = gen(t)
+    while t < t1 - 1e-15 * max(1.0, abs(t1)):
+        dt = min(dt, t1 - t)
+        gq = gen(t + 0.25 * dt)
+        gm = gen(t + 0.5 * dt)
+        g3 = gen(t + 0.75 * dt)
+        g1 = gen(t + dt)
+        s_one = _rk4(s, dt, g0, gm, g1)
+        sh = _rk4(s, 0.5 * dt, g0, gq, gm)
+        s_two = _rk4(sh, 0.5 * dt, gm, g3, g1)
+        scale = max(1.0, float(np.max(np.abs(s_two))))
+        err = float(np.max(np.abs(s_two - s_one))) / scale
+        tol = rtol + 1e-13 / scale
+        if err > tol and dt <= min_step * 4:
+            raise RuntimeError(
+                f"flow tolerance {tol:.1e} unreachable at the step floor; "
+                f"achieved local residual {err:.3e}")
+        if err <= tol:
+            s = s_two + (s_two - s_one) / 15.0
+            t += dt
+            n_steps += 1
+            on_accept(t, dt, s, g0, gm, g1)
+            g0 = g1
+        else:
+            n_rej += 1
+        fac = 0.9 * (tol / err) ** 0.2 if err > 0 else 4.0
+        dt = min(max_step, max(min_step, dt * min(4.0, max(0.1, fac))))
+        if n_steps + n_rej > 5_000_000:
+            raise RuntimeError(f"flow integration stalled; achieved error {err:.2e}")
+    return s, n_steps, n_rej
+
+
 def integrate_symbolic_flow(a_star_sampler: Callable, cfg: FlowConfig,
                             tau: float, t_end: float,
                             check_flow_property: bool = True) -> SymbolicFlowResult:
-    """Adaptive RK4 (step doubling with local Richardson) for the matrix flow.
+    """Adaptive RK4 (`_adaptive_rk4`) for the matrix flow.
 
     Records S at every accepted step, the accumulated trace integral (for the
     Liouville check) and, when requested, a midpoint flow-property residual
@@ -194,49 +241,19 @@ def integrate_symbolic_flow(a_star_sampler: Callable, cfg: FlowConfig,
     def gen(t: float) -> np.ndarray:
         return pref * np.asarray(a_star_sampler(t), dtype=complex)
 
-    n = gen(tau).shape[0]
-    s = np.eye(n, dtype=complex)
-    q = 0.0 + 0.0j   # int tr(-G)
-    t = tau
-    dt = min(cfg.max_step, max((t_end - tau) / 16.0, cfg.min_step))
+    s = np.eye(gen(tau).shape[0], dtype=complex)
     times = [tau]
     samples = [s]
-    traces = [q]
-    n_steps = 0
-    n_rej = 0
-    g0 = gen(t)
+    traces = [0.0 + 0.0j]   # int tr(-G)
 
-    while t < t_end - 1e-15 * max(1.0, abs(t_end)):
-        dt = min(dt, t_end - t)
-        gq = gen(t + 0.25 * dt)
-        gm = gen(t + 0.5 * dt)
-        g3 = gen(t + 0.75 * dt)
-        g1 = gen(t + dt)
-        s_one = _rk4(s, dt, g0, gm, g1)
-        sh = _rk4(s, 0.5 * dt, g0, gq, gm)
-        s_two = _rk4(sh, 0.5 * dt, gm, g3, g1)
-        scale = max(1.0, float(np.max(np.abs(s_two))))
-        err = float(np.max(np.abs(s_two - s_one))) / scale
-        tol = cfg.rtol + 1e-13 / scale
-        if err > tol and dt <= cfg.min_step * 4:
-            raise RuntimeError(
-                f"flow tolerance {tol:.1e} unreachable at the step floor; "
-                f"achieved local residual {err:.3e}")
-        if err <= tol:
-            s = s_two + (s_two - s_one) / 15.0
-            q += -dt / 6.0 * (np.trace(g0) + 4.0 * np.trace(gm) + np.trace(g1))
-            t += dt
-            n_steps += 1
-            times.append(t)
-            samples.append(s)
-            traces.append(q)
-            g0 = g1
-        else:
-            n_rej += 1
-        fac = 0.9 * (tol / err) ** 0.2 if err > 0 else 4.0
-        dt = min(cfg.max_step, max(cfg.min_step, dt * min(4.0, max(0.1, fac))))
-        if n_steps + n_rej > 5_000_000:
-            raise RuntimeError(f"flow integration stalled; achieved error {err:.2e}")
+    def record(t, dt, s, g0, gm, g1):
+        times.append(t)
+        samples.append(s)
+        traces.append(traces[-1] - dt / 6.0 * (np.trace(g0) + 4.0 * np.trace(gm)
+                                               + np.trace(g1)))
+
+    _, n_steps, n_rej = _adaptive_rk4(gen, s, tau, t_end, cfg.rtol, cfg.max_step,
+                                      cfg.min_step, record)
 
     times = np.asarray(times)
     samples = np.asarray(samples)

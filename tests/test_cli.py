@@ -88,6 +88,16 @@ def test_branch_command(capsys):
     assert abs(data["branch"]["tau_star"]) < 1e-8
 
 
+def test_branch_json_carries_f0_once(capsys):
+    # f0 is the e-factor at (tau*, mu), which the JSON also printed as e0;
+    # newton_iters was a hard-coded 0
+    code, out, _ = run(["branch", "--example", "vdw", "--state", "witness"], capsys)
+    assert code == EXIT_OK
+    branch = json.loads(out)["branch"]
+    assert branch["f0"] == 0.9999999999995199
+    assert "e0" not in branch and "newton_iters" not in branch
+
+
 def test_unknown_example_is_config_error(capsys):
     code, _, err = run(["classify", "--example", "nonesuch"], capsys)
     assert code == EXIT_CONFIG

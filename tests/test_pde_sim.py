@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -5,12 +10,14 @@ from scipy.linalg import expm
 from hypflow.classifier import classify
 from hypflow.examples import burgers1d, get_state, kgz
 from hypflow.pde_sim import (BoxLengthError, HadamardParams, SolverConfig,
-                             _check_period, _frozen_synthesis,
-                             breakdown_detector, evolve, evolve_linearized,
+                             _check_period, _frozen_synthesis, _stepped_synthesis,
+                             _wrap_dist, breakdown_detector, evolve, evolve_linearized,
                              free_solution_compare, run_instability_experiment,
                              w1inf_ball)
 from hypflow.semiclassical import Grid1D, GridFunction, WavePacketSpec, build_wavepacket
 from hypflow.system_model import Domain, ReferenceSolution, SystemSpec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def scalar_burgers():
@@ -276,8 +283,9 @@ def test_params_gates():
 
 def test_w1inf_ball_requires_nodes():
     grid = Grid1D(64, 2 * np.pi)
+    ball = _wrap_dist(grid.nodes, 0.049, grid.length) <= 1e-6
     with pytest.raises(ValueError):
-        w1inf_ball(np.zeros((1, 64)), grid, 0.049, 1e-6)
+        w1inf_ball(np.zeros((1, 64)), 1j * grid.freqs, ball)
 
 
 def test_experiment_rejects_stable_regime():
@@ -415,6 +423,37 @@ def test_frozen_synthesis_overflow_raises():
         _frozen_synthesis(a0, uh, ks, grid, -1j * 100.0)
 
 
+@pytest.mark.parametrize("n, eps", [(64, 0.2), (512, 0.02)])
+def test_stepped_synthesis_matches_separable_oracle(n, eps):
+    # A1 = c(eps t) a(x) J with a = 1 + 0.3 sin x: at each x the mode flows
+    # commute in time, so S_k(T, x) = exp(-pref xi_k a(x) J int_0^T c(eps t) dt)
+    # and the stepped sum equals the frozen one at that scale.  At n = 64 the
+    # grid is coarser than the 128 stepping nodes, and at n = 512 finer.
+    grid = Grid1D(n, 2 * np.pi, x_left=-np.pi)
+    t_end, pref = 1.5, 1j * eps
+
+    def a1(t, xs):
+        return ((1.0 + 20.0 * eps * t) * (1.0 + 0.3 * np.sin(xs)))[:, None, None] * _J
+
+    rng = np.random.default_rng(5)
+    uh = np.zeros((n, 2), dtype=complex)
+    ks = np.array([1, 2, 3, 5, 8, n - 2, n - 4, n - 7])
+    uh[ks] = rng.normal(size=(ks.size, 2)) + 1j * rng.normal(size=(ks.size, 2))
+    got = _stepped_synthesis(a1, uh, ks, grid, pref, t_end)
+    integral = t_end + 10.0 * eps * t_end ** 2
+    want = _frozen_synthesis(a1(0.0, grid.nodes), uh, ks, grid, -pref * integral)
+    # measured 1.8e-10 (eps 0.2) and 2.8e-12 (eps 0.02), the same on every
+    # grid: the stepper's error; the bound is its rtol
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_import_loads_no_scipy_interpolate():
+    code = "import sys, hypflow; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.stdout.strip() == "False"
+
+
 def test_e_vec_defaults_to_first_unit_vector():
     # omitting e_vec polarizes the packet along the first state component;
     # an e_vec of the wrong length is refused by name
@@ -434,7 +473,7 @@ def test_e_vec_defaults_to_first_unit_vector():
 
 
 def test_free_solution_time_dependent_flux():
-    # A1 = (1 + 20 t) J is not frozen, so the mode flows are stepped by RK4,
+    # A1 = (1 + 20 t) J is not frozen, so the mode flows are stepped adaptively,
     # and the linearized step must follow the speed at the end of the run,
     # four times the speed at t = 0
     grow = _scaled_j("grow", lambda t, x: 1.0 + 20.0 * t)

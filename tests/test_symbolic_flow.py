@@ -243,7 +243,7 @@ def test_vdw_flow_matches_airy_end_to_end():
     x = 0.4
     y = eps ** (1.0 / 3.0) * x
     data = compute_branch_data(field, None, [y], [1.0], lam_init=0.0)
-    f0 = data.e0
+    f0 = data.f0
     t_star = eps ** (-2.0 / 3.0) * max(data.tau_star, 0.0)
     sampler = make_a_star_sampler(field, None, eps, 0.5, [0.0], [x], [1.0],
                                   mu=lambda t, xs, xi: 0.0)
