@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .classifier import PERSISTENT, INDETERMINATE
-from .semiclassical import (Grid1D, GridFunction, WavePacketSpec,
+from .semiclassical import (Grid1D, GridFunction, WavePacketSpec, _fast_grid_len,
                             build_wavepacket, sobolev_norm)
 from .symbolic_flow import _adaptive_rk4
 from .system_model import SystemSpec
@@ -362,10 +362,11 @@ def run_instability_experiment(sys: SystemSpec, phi, classification,
     packet growth exponent, and breakdowns (which count as instability
     findings, not failures).  The box must be a period of phi(0), else
     BoxLengthError.  `control=True` runs a stable system through the
-    identical pipeline, borrowing the scales in `params`.  The grid gives the
-    carrier at least 8 nodes per oscillation, the filter has order 8, and the
-    observer samples 60 times per run.  The run draws no random numbers, so it
-    needs no seed.
+    identical pipeline, borrowing the scales in `params`.  The grid has the
+    fewest nodes, an even 2^a 3^b 5^c count (at least 16), that give the
+    carrier at least 8 nodes per oscillation and the observation ball at least
+    16 nodes; the filter has order 8, and the observer samples 60 times per
+    run.  The run draws no random numbers, so it needs no seed.
     """
     if not control and classification is not None and \
             classification.regime in (PERSISTENT, INDETERMINATE):
@@ -378,10 +379,8 @@ def run_instability_experiment(sys: SystemSpec, phi, classification,
     rows = []
     for eps in ladder:
         k0 = max(1, int(round(xi0 / eps * length / (2.0 * np.pi))))
-        n = 1 << max(4, int(math.ceil(math.log2(8 * k0))))
         radius = eps ** (1.0 - h) * params.delta
-        while 2.0 * radius / (length / n) < 16.0:
-            n *= 2
+        n = _fast_grid_len(max(16, 8 * k0, math.ceil(8.0 * length / radius)))
         grid = Grid1D(n, length, x_left=x0 - length / 2.0)
         xs = grid.nodes
         if phi_traj_vec is not None:
@@ -523,13 +522,12 @@ def _stepped_synthesis(a1: Callable, uh: np.ndarray, ks: np.ndarray, grid: Grid1
     (N, n).
 
     The vectors S_k u^_k of all modes are stepped together by `_adaptive_rk4`
-    (rtol 1e-9, no step cap) on 128 coarse nodes.  Their trigonometric
+    (rtol 1e-9, no step cap) on min(128, n) coarse nodes.  Their trigonometric
     interpolant enters the sum through its spectrum: coarse wavenumber m of
     mode k lands on grid wavenumber m + k (mod n), and one inverse FFT sums
-    every mode.  On a grid of fewer than 128 nodes the wrap folds the
-    spectrum, which samples the interpolant at the grid nodes exactly.
+    every mode.
     """
-    nc = 128
+    nc = min(128, grid.n)
     xc = Grid1D(nc, grid.length, x_left=grid.x_left).nodes
     scale = pref * grid.freqs[ks]
     s = np.ascontiguousarray(np.broadcast_to(
@@ -562,10 +560,11 @@ def free_solution_compare(sys: SystemSpec, phi, eps: float, classification,
 
     Elliptic frame (ell = 0) on the periodic box [-pi, pi): the packet has
     carrier xi0 = 1 and a cutoff of radius 1 about x0 = 0, and the advected
-    symbol is A(eps t, x, xi) with Q = Id, mu = 0.  `sign=-1` deliberately
-    integrates the flow of -A* as a detection sanity check.  The reference
-    solution is sampled only through phi_vec(t, xs) -> (n, N); `phi` is not
-    read.
+    symbol is A(eps t, x, xi) with Q = Id, mu = 0.  The grid has the fewest
+    nodes, an even 2^a 3^b 5^c count (at least 64), that give the carrier at
+    least 8 nodes per oscillation.  `sign=-1` deliberately integrates the
+    flow of -A* as a detection sanity check.  The reference solution is
+    sampled only through phi_vec(t, xs) -> (n, N); `phi` is not read.
     """
     if classification is not None and classification.ell not in (0.0, None):
         raise NotImplementedError("free-solution comparison implemented for the elliptic frame")
@@ -573,7 +572,7 @@ def free_solution_compare(sys: SystemSpec, phi, eps: float, classification,
     h = 1.0
     length = 2.0 * np.pi
     k0 = max(1, int(round(1.0 / eps ** h)))
-    n = 1 << max(6, int(math.ceil(math.log2(8 * k0))))
+    n = _fast_grid_len(max(64, 8 * k0))
     grid = Grid1D(n, length, x_left=-length / 2.0)
     spec = WavePacketSpec(K=0.0, xi0=1.0, x0=0.0, eps=eps, h=h, e_vec=e_vec)
     v0 = build_wavepacket(spec, grid, frame="rescaled")

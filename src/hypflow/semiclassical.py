@@ -8,6 +8,7 @@ wave packet eps^K Re(e^{i y xi0 / eps^h} theta(y) e).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -15,6 +16,20 @@ from typing import Callable, Sequence
 import numpy as np
 
 _MAGIC = b"HYPGRID1"
+
+
+def _fast_grid_len(m: int) -> int:
+    """The smallest even 2^a 3^b 5^c >= m: a node count that meets a resolution
+    bound m and that numpy's FFT transforms at full speed."""
+    n = max(2, m + m % 2)
+    while True:
+        k = n // 2
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 2
 
 
 @dataclass(frozen=True)
@@ -26,8 +41,8 @@ class Grid1D:
     x_left: float = 0.0
 
     def __post_init__(self):
-        if self.n & (self.n - 1):
-            raise ValueError("node count must be a power of two")
+        if self.n < 2 or self.n % 2:
+            raise ValueError("node count must be even (the rfft keeps a Nyquist mode)")
 
     @property
     def dx(self) -> float:
@@ -224,7 +239,7 @@ def build_wavepacket(spec: WavePacketSpec, grid: Grid1D,
         raise ValueError(f"unknown frame {frame!r}")
     per_osc = 2.0 * np.pi / abs(carrier_freq) / grid.dx
     if per_osc < 8.0 - 1e-9:
-        need = int(2 ** np.ceil(np.log2(grid.n * 8.0 / per_osc)))
+        need = _fast_grid_len(math.ceil(grid.n * (8.0 - 1e-9) / per_osc))
         raise ValueError(f"carrier unresolved ({per_osc:.1f} nodes/oscillation); "
                          f"need n >= {need}")
     theta = spec.theta(y)

@@ -171,12 +171,40 @@ class SymbolicFlowResult:
 
 
 def _rk4(s: np.ndarray, dt: float, g0, gm, g1) -> np.ndarray:
-    """One RK4 step of S' = -G S with generator samples at t, t+dt/2, t+dt."""
-    k1 = -(g0 @ s)
-    k2 = -(gm @ (s + 0.5 * dt * k1))
-    k3 = -(gm @ (s + 0.5 * dt * k2))
-    k4 = -(g1 @ (s + dt * k3))
-    return s + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    """One RK4 step of S' = -G S with generator samples at t, t+dt/2, t+dt.
+
+    s + dt/6 (k1 + 2 k2 + 2 k3 + k4) with k1 = -G0 s, k2 = -Gm (s + dt/2 k1),
+    k3 = -Gm (s + dt/2 k2), k4 = -G1 (s + dt k3), evaluated in place in that
+    association order, so the result is bit-identical to the expression.
+    Each stage's argument goes to one buffer and its slope into the running
+    sum, and each slope is dropped before the next product is made, so the
+    allocator hands its memory straight back instead of faulting in fresh
+    pages.  The ufuncs take `out` positionally: the keyword form is slower on
+    the 2 x 2 matrix flow.  `s` is not modified.
+    """
+    acc = g0 @ s
+    np.negative(acc, acc)                       # k1
+    arg = np.multiply(0.5 * dt, acc)
+    arg += s
+    k = gm @ arg
+    np.negative(k, k)                           # k2
+    np.multiply(0.5 * dt, k, arg)
+    arg += s
+    acc += np.multiply(2, k, k)
+    del k
+    k = gm @ arg
+    np.negative(k, k)                           # k3
+    np.multiply(dt, k, arg)
+    arg += s
+    acc += np.multiply(2, k, k)
+    del k
+    k = g1 @ arg
+    del arg
+    acc += np.negative(k, k)                    # k4
+    del k
+    np.multiply(dt / 6.0, acc, acc)
+    acc += s
+    return acc
 
 
 def _adaptive_rk4(gen: Callable, s, t0: float, t1: float, rtol: float,
@@ -203,15 +231,17 @@ def _adaptive_rk4(gen: Callable, s, t0: float, t1: float, rtol: float,
         s_one = _rk4(s, dt, g0, gm, g1)
         sh = _rk4(s, 0.5 * dt, g0, gq, gm)
         s_two = _rk4(sh, 0.5 * dt, gm, g3, g1)
+        diff = s_two - s_one
         scale = max(1.0, float(np.max(np.abs(s_two))))
-        err = float(np.max(np.abs(s_two - s_one))) / scale
+        err = float(np.max(np.abs(diff))) / scale
         tol = rtol + 1e-13 / scale
         if err > tol and dt <= min_step * 4:
             raise RuntimeError(
                 f"flow tolerance {tol:.1e} unreachable at the step floor; "
                 f"achieved local residual {err:.3e}")
         if err <= tol:
-            s = s_two + (s_two - s_one) / 15.0
+            diff /= 15.0
+            s = np.add(s_two, diff, out=diff)
             t += dt
             n_steps += 1
             on_accept(t, dt, s, g0, gm, g1)

@@ -372,15 +372,17 @@ def _scaled_j(name, scale):
 
 
 def test_free_solution_frozen_synthesis_pinned():
-    # criterion-9 inputs at eps 1e-2; reference values from assembling each
-    # mode's flow matrix exp(-i eps t xi_k A1(x)) explicitly
+    # criterion-9 inputs at eps 1e-2 (n = 800); reference values from
+    # assembling each mode's flow matrix exp(-i eps t xi_k A1(x)) explicitly
+    # (`_synthesis_oracle` in place of `_frozen_synthesis`)
     kw = dict(e_vec=(1.0, 1j), phi_vec=_zero_phi_vec)
     const = _scaled_j("const", lambda t, x: 1.0)
     rep = free_solution_compare(const, _ZERO_PHI, 1e-2, None, 2.0, dt_safety=0.06, **kw)
-    assert abs(rep.rel_error - 6.263250886619779e-10) <= 1e-13
+    assert rep.n_nodes == 800
+    assert abs(rep.rel_error - 1.6464154987088505e-09) <= 1e-13
     slow = _scaled_j("slow", lambda t, x: 1.0 + 0.3 * np.sin(x))
     rep = free_solution_compare(slow, _ZERO_PHI, 1e-2, None, 2.0, **kw)
-    assert rep.rel_error == pytest.approx(0.005774026682879661, rel=1e-9, abs=0.0)
+    assert rep.rel_error == pytest.approx(0.005774025579109308, rel=1e-9, abs=0.0)
 
 
 def _synthesis_oracle(a0, uh, ks, grid, scale):
@@ -423,12 +425,13 @@ def test_frozen_synthesis_overflow_raises():
         _frozen_synthesis(a0, uh, ks, grid, -1j * 100.0)
 
 
-@pytest.mark.parametrize("n, eps", [(64, 0.2), (512, 0.02)])
+@pytest.mark.parametrize("n, eps", [(64, 0.2), (80, 0.1), (400, 0.05), (512, 0.02)])
 def test_stepped_synthesis_matches_separable_oracle(n, eps):
     # A1 = c(eps t) a(x) J with a = 1 + 0.3 sin x: at each x the mode flows
     # commute in time, so S_k(T, x) = exp(-pref xi_k a(x) J int_0^T c(eps t) dt)
-    # and the stepped sum equals the frozen one at that scale.  At n = 64 the
-    # grid is coarser than the 128 stepping nodes, and at n = 512 finer.
+    # and the stepped sum equals the frozen one at that scale.  At n = 64 and
+    # 80 the modes are stepped on the grid's own nodes; at n = 400 and 512 on
+    # 128 coarser ones, interpolated to the grid.
     grid = Grid1D(n, 2 * np.pi, x_left=-np.pi)
     t_end, pref = 1.5, 1j * eps
 

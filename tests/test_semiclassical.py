@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypflow.semiclassical import (Grid1D, GridFunction, WavePacketSpec,
+from hypflow.semiclassical import (Grid1D, GridFunction, WavePacketSpec, _fast_grid_len,
                                    build_wavepacket, composition_residual, eps_sobolev_norm,
                                    load_grid_function, op_eps_apply,
                                    operator_norm_estimate, save_grid_function,
@@ -18,12 +22,26 @@ def smooth_probe(grid, seed=0, ncomp=1, kmax=8):
 
 
 def test_grid_invariants_and_fft_roundtrip():
-    grid = Grid1D(256, 2 * np.pi)
-    u = smooth_probe(grid)
-    back = np.fft.ifft(u.hat(), axis=0)
-    assert np.max(np.abs(back - u.values)) <= 1e-12 * np.max(np.abs(u.values))
-    with pytest.raises(ValueError):
-        Grid1D(100, 1.0)
+    for grid in (Grid1D(256, 2 * np.pi), Grid1D(100, 1.0)):
+        u = smooth_probe(grid)
+        back = np.fft.ifft(u.hat(), axis=0)
+        assert np.max(np.abs(back - u.values)) <= 1e-12 * np.max(np.abs(u.values))
+    with pytest.raises(ValueError, match="even"):
+        Grid1D(101, 1.0)
+
+
+# every even 2^a 3^b 5^c up to 40,000, built from the exponents
+_EVEN_5_SMOOTH = sorted(n for n in {2 ** (a + 1) * 3 ** b * 5 ** c
+                                    for a in range(16) for b in range(10) for c in range(7)}
+                        if n <= 40_000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=5000))
+def test_fast_grid_len_is_the_least_even_5_smooth_bound(m):
+    n = _fast_grid_len(m)
+    assert n >= m and n in _EVEN_5_SMOOTH
+    assert not [j for j in _EVEN_5_SMOOTH if m <= j < n]
 
 
 def test_identity_symbol():
@@ -140,6 +158,23 @@ def test_wavepacket_resolution_guard():
     spec = WavePacketSpec(K=1.0, xi0=1.0, x0=0.0, eps=eps, h=h)
     with pytest.raises(ValueError, match="need n"):
         build_wavepacket(spec, grid, frame="original")
+
+
+@pytest.mark.parametrize("eps, xi0, frame", [(1e-3, 1.0, "original"), (3e-3, 1.7, "original"),
+                                             (1e-2, 1.0, "rescaled"), (0.07, 3.0, "rescaled")])
+def test_wavepacket_hint_builds_the_packet(eps, xi0, frame):
+    # the "need n >=" of a refused grid is the least even 5-smooth count that
+    # builds: the next smaller one is refused
+    spec = WavePacketSpec(K=1.0, xi0=xi0, x0=0.0, eps=eps, h=0.5)
+    with pytest.raises(ValueError, match="need n") as exc:
+        build_wavepacket(spec, Grid1D(16, 2 * np.pi, x_left=-np.pi), frame=frame)
+    need = int(re.search(r"need n >= (\d+)", str(exc.value)).group(1))
+    assert need in _EVEN_5_SMOOTH
+    u = build_wavepacket(spec, Grid1D(need, 2 * np.pi, x_left=-np.pi), frame=frame)
+    assert u.grid.n == need and np.max(np.abs(u.values)) > 0.0
+    below = _EVEN_5_SMOOTH[_EVEN_5_SMOOTH.index(need) - 1]
+    with pytest.raises(ValueError, match="need n"):
+        build_wavepacket(spec, Grid1D(below, 2 * np.pi, x_left=-np.pi), frame=frame)
 
 
 def test_wavepacket_sobolev_slope():
