@@ -76,9 +76,10 @@ def breakdown_detector(values: np.ndarray, vh: np.ndarray,
     modes by k^2 so that a forming shock (|u^_k| ~ 1/k) registers as an O(1)
     fraction independent of resolution; a fraction above the fixed 0.1 stops
     the run."""
-    if not np.all(np.isfinite(values)):
+    peak = np.max(np.abs(values))       # NaN if any value is NaN, inf if any is infinite
+    if not np.isfinite(peak):
         return "nan"
-    if np.max(np.abs(values)) > cfg.linf_cap:
+    if peak > cfg.linf_cap:
         return "linf_cap"
     dpow = np.sum(np.arange(vh.shape[-1], dtype=float) ** 2 * np.abs(vh) ** 2, axis=0)
     keep_max = cfg.n // 3
@@ -480,34 +481,70 @@ def _frozen_synthesis(a0: np.ndarray, uh: np.ndarray, ks: np.ndarray,
     over the FFT indices `ks`, for a0 (n, N, N) and u^ (n, N); returns (N, n).
 
     With a0 = V diag(lambda) V^-1 and xi_k = (2 pi / L) m_k, mode k carries
-    exp(xi_k E) = r^m_k, r = exp((2 pi / L) E), E = scale lambda + i (x - x_left),
-    so the sum is a polynomial in r: Horner's rule runs over the integer range
-    [m_lo, m_hi] of the selected modes (absent ones zero), at one multiply-add
-    per mode, in the (j, l, x) eigen-coordinates.  A non-finite sum raises
-    RuntimeError.
+    exp(m_k sigma_j) omega^m_k at node p in eigen-coordinate j, where
+    sigma_j = (2 pi / L) scale lambda_j and omega = exp(2 pi i p / n).  Split
+    sigma_j into its midrange sigma0_j over the grid (real and imaginary
+    parts apart) and delta_j = sigma_j - sigma0_j, and the integer range of
+    the modes into contiguous blocks, all but the last of equal length, with
+    centres m_b and half-widths h_b <= h, cut so that h max|delta| <= 1.  With
+    mu = (m - m_b) / h, a block sums to
+
+        exp(m_b delta_j) sum_q (h delta_j)^q IFFT_m[c_{m,l} exp(m sigma0_j) mu^q / q!],
+
+    whose terms fall at least like 1/q!: one series over the whole mode
+    range would have terms far larger than its sum, which cancel.  A block's
+    series stops at the first Q with (h_b max|delta|)^Q / Q! <= 1e-17 and is
+    summed by nested multiplication from q = Q - 1 down, so the cost is Q
+    inverse FFTs of N^2 length-n rows per block: it follows the spread of the
+    exponent over the grid, not the number of modes.  A non-finite sum
+    raises RuntimeError.
     """
     n = grid.n
     lam, vecs = np.linalg.eig(a0)                                       # (n, N), (n, N, N)
     vinv = np.linalg.inv(vecs).transpose(1, 2, 0)                       # (N, N, n)
-    # (2 pi / L) E overwrites the (complex) eigenvalues, and r overwrites that
-    # in turn: this helper sets the peak memory of free_solution_compare
-    step = lam.T.astype(complex, copy=False)                            # (N, n)
-    step *= (2.0 * np.pi / grid.length) * scale
-    step += (2j * np.pi / grid.length) * (grid.nodes - grid.x_left)
     ms = (ks + n // 2) % n - n // 2                                     # signed FFT index
     m_lo = int(ms.min())
-    coef = np.zeros((int(ms.max()) - m_lo + 1, uh.shape[1]), dtype=complex)
-    coef[ms - m_lo] = uh[ks]
-    horner = np.zeros(vinv.shape, dtype=complex)                        # H_{jl}(x)
+    coef = np.zeros((uh.shape[1], int(ms.max()) - m_lo + 1), dtype=complex)
+    coef[:, ms - m_lo] = uh[ks].T                                       # (N, modes), absent ones zero
+    # sigma overwrites the (complex) eigenvalues, delta overwrites sigma, and
+    # u = h delta overwrites delta: with the spectrum, its transform and the
+    # block's sum, each (N, N, n), this sets the peak memory of
+    # free_solution_compare
+    u = lam.T.astype(complex, copy=False)
+    u *= (2.0 * np.pi / grid.length) * scale
+    mid = 0.5 * (u.real.max(axis=1) + u.real.min(axis=1)
+                 + 1j * (u.imag.max(axis=1) + u.imag.min(axis=1)))      # sigma0 (N,)
+    u -= mid[:, None]
+    spread = float(np.max(np.abs(u)))                                   # max|delta|
+    size = -(-coef.shape[1] // max(1, math.ceil((coef.shape[1] - 1) * spread / 2.0)))
+    h = max(0.5 * (size - 1), 0.5)          # a block of one mode has half-width 0
+    u *= h
+    nodes = np.arange(n)
+    spec = np.zeros(vinv.shape, dtype=complex)
+    block = np.empty_like(spec)
+    total = np.zeros(u.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        lead = np.exp(m_lo * step)
-        r = np.exp(step, out=step)[:, None, :]
-        for c in coef[::-1]:
-            horner *= r
-            horner += c[:, None]
-        lead *= np.einsum("jlx,jlx->jx", vinv, horner)
-        out = np.einsum("xij,jx->ix", vecs, lead)
-        out /= n
+        for start in range(0, coef.shape[1], size):
+            m = m_lo + start + np.arange(min(size, coef.shape[1] - start))
+            half = 0.5 * (m[-1] - m[0])
+            n_terms, term = 1, half * spread
+            while term > 1e-17:
+                n_terms += 1
+                term *= half * spread / n_terms
+            taylor = np.ones((n_terms, m.size))     # mu^q / q!
+            np.cumprod(np.multiply.outer(1.0 / np.arange(1, n_terms), (m - m[0] - half) / h),
+                       axis=0, out=taylor[1:])
+            c = np.exp(np.multiply.outer(mid, m))[:, None, :] * coef[:, start:start + m.size]
+            block.fill(0.0)
+            for row in taylor[::-1]:
+                block *= u[:, None, :]
+                np.multiply(c, row, out=spec[..., :m.size])
+                block += np.fft.ifft(spec, axis=-1)
+            spec[..., :m.size] = 0.0
+            # slot 0 of the block's spectrum holds wavenumber m[0]: shift it there
+            shift = (2j * np.pi / n) * (m[0] * nodes % n)
+            total += np.exp(((m[0] + half) / h) * u + shift) * np.einsum("jlx,jlx->jx", vinv, block)
+        out = np.einsum("xij,jx->ix", vecs, total)
     if not np.all(np.isfinite(out)):
         raise RuntimeError("frozen synthesis overflowed: the flow grows past "
                            "floating point over the selected modes")

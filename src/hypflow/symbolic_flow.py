@@ -271,7 +271,8 @@ def integrate_symbolic_flow(a_star_sampler: Callable, cfg: FlowConfig,
     def gen(t: float) -> np.ndarray:
         return pref * np.asarray(a_star_sampler(t), dtype=complex)
 
-    s = np.eye(gen(tau).shape[0], dtype=complex)
+    g_tau = gen(tau)
+    s = np.eye(g_tau.shape[0], dtype=complex)
     times = [tau]
     samples = [s]
     traces = [0.0 + 0.0j]   # int tr(-G)
@@ -282,8 +283,9 @@ def integrate_symbolic_flow(a_star_sampler: Callable, cfg: FlowConfig,
         traces.append(traces[-1] - dt / 6.0 * (np.trace(g0) + 4.0 * np.trace(gm)
                                                + np.trace(g1)))
 
-    _, n_steps, n_rej = _adaptive_rk4(gen, s, tau, t_end, cfg.rtol, cfg.max_step,
-                                      cfg.min_step, record)
+    # the sample that sized the identity is the stepper's first generator
+    _, n_steps, n_rej = _adaptive_rk4(lambda t: g_tau if t == tau else gen(t), s, tau,
+                                      t_end, cfg.rtol, cfg.max_step, cfg.min_step, record)
 
     times = np.asarray(times)
     samples = np.asarray(samples)

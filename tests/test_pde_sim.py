@@ -112,13 +112,16 @@ def test_breakdown_detector_cases():
     grid = Grid1D(n, 2 * np.pi)
 
     def verdict(values):
-        return breakdown_detector(values, np.fft.rfft(values), cfg)
+        with np.errstate(invalid="ignore"):     # the transform of an infinite value
+            vh = np.fft.rfft(values)
+        return breakdown_detector(values, vh, cfg)
 
     smooth = np.cos(grid.nodes).reshape(1, -1)
     assert verdict(smooth) is None
     bad = smooth.copy()
-    bad[0, 5] = np.nan
-    assert verdict(bad) == "nan"
+    for value in (np.nan, np.inf, -np.inf):
+        bad[0, 5] = value
+        assert verdict(bad) == "nan"
     assert verdict(3.0 * smooth) == "linf_cap"
     # k^2-weighted power piled into the top third of the kept band [227, 341]:
     # 300^2 * 1e-4 against 1 for the carrier; the same ripple at k = 200 lies
@@ -410,6 +413,28 @@ def test_frozen_synthesis_matches_per_mode_sum(sign):
     ks = np.array([2, 3, 4, 6, 7, grid.n - 3, grid.n - 5, grid.n - 6])
     uh[ks] = rng.normal(size=(ks.size, 2)) + 1j * rng.normal(size=(ks.size, 2))
     scale = -sign * 1j * 0.1 * 1.5
+    got = _frozen_synthesis(a0, uh, ks, grid, scale)
+    want = _synthesis_oracle(a0, uh, ks, grid, scale)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("scale", [-0.3j, -1j])
+def test_frozen_synthesis_matches_per_mode_sum_when_oscillating(scale):
+    # real eigenvalues that vary with x, so the flow oscillates and its
+    # exponent spreads over the grid: 199 modes on both sides of xi = 0 take
+    # 25 blocks at -0.3i and 67 at -1i; one series over all of them misses
+    # the oracle by 9e-7 and 2e21 (measured).  The oracle takes 9-15 s
+    # here: scipy's expm steps triangular matrices one by one in Python
+    grid = Grid1D(256, 2 * np.pi, x_left=-np.pi)
+    x = grid.nodes
+    a0 = np.zeros((grid.n, 2, 2))
+    a0[:, 0, 0] = 1.0 + 0.9 * np.sin(x)
+    a0[:, 0, 1] = 0.3
+    a0[:, 1, 1] = -0.5 + 0.4 * np.cos(x)
+    rng = np.random.default_rng(11)
+    uh = np.zeros((grid.n, 2), dtype=complex)
+    ks = np.r_[1:100, 156:256]
+    uh[ks] = rng.normal(size=(ks.size, 2)) + 1j * rng.normal(size=(ks.size, 2))
     got = _frozen_synthesis(a0, uh, ks, grid, scale)
     want = _synthesis_oracle(a0, uh, ks, grid, scale)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

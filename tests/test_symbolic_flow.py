@@ -129,6 +129,20 @@ def test_flow_records_every_accepted_step():
     assert np.all(np.diff(res.times) > 0) and res.times[-1] == pytest.approx(5.0)
 
 
+def test_flow_samples_start_once():
+    # the sample that sizes the identity is also the first step's generator
+    tau, seen = 0.3, []
+
+    def sampler(t):
+        seen.append(t)
+        return np.array([[1.0, t], [0.0, -1.0]])
+
+    cfg = FlowConfig(eps=1e-2, ell=0.0, T_star=1.0, max_step=0.05)
+    res = integrate_symbolic_flow(sampler, cfg, tau, 1.0, check_flow_property=False)
+    assert seen.count(tau) == 1 and seen[0] == tau
+    assert len(seen) == 1 + 4 * (res.n_steps + res.n_rejected)
+
+
 def test_flow_composition_and_liouville_random():
     rng = np.random.default_rng(21)
     cfg = FlowConfig(eps=1e-2, ell=0.0, T_star=1.0, rtol=1e-9, max_step=0.05)

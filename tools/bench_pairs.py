@@ -1,0 +1,84 @@
+"""Alternating parent/change pairs of perfbench runs, side by side.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --workload free --pairs 10 --seconds 20
+
+PARENT and CHANGE are two checkouts of the repository.  Each pair runs
+`perfbench/run.py --seed 0 --trace 0` once in each, one after the other: the
+parent first in even pairs, the change first in odd ones.  The runs get
+PYTHONDONTWRITEBYTECODE=1, and any `__pycache__` under the checkouts' `src/`
+and `perfbench/` is removed first, so every run compiles the modules it
+imports, as a fresh checkout does.  Only the last line of perfbench's output,
+the end-to-end metrics, is read.  Every pair is printed; then, per metric,
+both medians, the parent's quartiles and how many pairs the change read lower.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(root: Path, workload: str, seconds: float) -> dict:
+    """One perfbench run in checkout `root`; returns its last output line."""
+    for sub in ("src", "perfbench"):
+        for cache in (root / sub).rglob("__pycache__"):
+            shutil.rmtree(cache)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", "0", "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, env=env, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.exit(f"bench_pairs: perfbench failed in {root} (exit {proc.returncode}):\n"
+                 f"{proc.stderr.strip()[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("change", type=Path, help="checkout of the change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=20.0)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for name, root in sides.items():
+        if not (root / "perfbench" / "run.py").is_file():
+            ap.error(f"{name} checkout {root} has no perfbench/run.py")
+
+    results = []
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {side: run_once(sides[side], args.workload, args.seconds) for side in order}
+        results.append(pair)
+        cells = [f"{name} {pair['parent']['metrics'][name]['value']:.4g} / "
+                 f"{pair['change']['metrics'][name]['value']:.4g}"
+                 for name in pair["parent"]["metrics"]]
+        fails = f"failed {pair['parent']['failed']}/{pair['change']['failed']}"
+        print(f"pair {i + 1} ({order[0]} first): " + ", ".join(cells) + f", {fails}",
+              flush=True)
+
+    print(f"{args.workload}, {args.pairs} pairs, parent / change:")
+    for name, meta in results[0]["parent"]["metrics"].items():
+        old = [r["parent"]["metrics"][name]["value"] for r in results]
+        new = [r["change"]["metrics"][name]["value"] for r in results]
+        q1, _, q3 = statistics.quantiles(old, n=4) if len(old) > 1 else (old[0],) * 3
+        lower = sum(b < a for a, b in zip(old, new))
+        print(f"  {name} [{meta['unit']}]: medians {statistics.median(old):.4g} / "
+              f"{statistics.median(new):.4g}, parent quartiles {q1:.4g}-{q3:.4g}, "
+              f"change lower in {lower} of {len(results)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
