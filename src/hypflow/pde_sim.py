@@ -1,13 +1,15 @@
 """1D periodic pseudospectral solver and the wave-packet instability experiment.
 
-One fixed-step RK4 loop drives both spectral solvers.  The nonlinear evolution
-holds the rfft of its state, so 2/3-rule dealiasing and the exponential filter
-(strength recorded in every report) are multiplies; it stops on an L-infinity
-cap, an unresolved-gradient proxy or NaN.  The linearized evolution in the
-rescaled frame steps in physical space, unfiltered, and stops on NaN.  On top:
-the Hoelder-ratio measurement on shrinking balls, the ladder experiment, and
-the free-solution comparison against the quantized symbolic flow, whose
-time-dependent mode flows take the adaptive stepper of `symbolic_flow`.
+One RK4 loop drives both spectral solvers; it lands exactly on the sample
+times.  The nonlinear evolution holds the rfft of its state, so 2/3-rule
+dealiasing and the exponential filter (strength recorded in every report) are
+multiplies; it sizes each step from the flux of the field it steps, and stops
+on an L-infinity cap, an unresolved-gradient proxy or NaN.  The linearized
+evolution in the rescaled frame steps in physical space, unfiltered, in
+uniform steps, and stops on NaN.  On top: the Hoelder-ratio measurement on
+shrinking balls, the ladder experiment, and the free-solution comparison
+against the quantized symbolic flow, whose time-dependent mode flows take the
+adaptive stepper of `symbolic_flow`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,14 @@ from .system_model import SystemSpec
 @dataclass
 class SolverConfig:
     """Time-stepping parameters; construction enforces the CFL-type bound
-    dt * max_speed * n / length <= 0.5."""
+    dt * max_speed * n / length <= 0.5.
+
+    `max_speed` bounds the spectral radius of A(u) over every field the run
+    may reach, so `dt` is safe up to the breakdown stop.  `evolve` takes
+    longer steps while the field allows them (see `_march`), never a target
+    below `dt`; `evolve_linearized` steps uniformly at most `dt`.  Both land
+    exactly on the `sample_count` times j * t_final / (sample_count - 1).
+    `filter_strength` is a damping rate per unit time at the top mode."""
 
     n: int
     dt: float
@@ -68,48 +77,89 @@ class Trajectory:
         return self.states[-1]
 
 
-def breakdown_detector(values: np.ndarray, vh: np.ndarray,
-                       cfg: SolverConfig) -> Optional[str]:
+def _tail_weights(n: int) -> tuple[np.ndarray, slice]:
+    """The k^2 weights of the rfft modes of an n-node grid and the slice of
+    its top kept third, as `breakdown_detector` takes them."""
+    keep_max = n // 3
+    return np.arange(n // 2 + 1, dtype=float) ** 2, slice((2 * keep_max) // 3, keep_max + 1)
+
+
+def breakdown_detector(values: np.ndarray, vh: np.ndarray, cfg: SolverConfig,
+                       k2: np.ndarray, tail: slice) -> Optional[str]:
     """NaN/Inf, L-infinity cap, or derivative energy piling up at the top of
     the kept band (a gradient the grid no longer resolves: the W^{1,inf} exit
     proxy), read off `vh`, the rfft of `values`.  The tail fraction weights
     modes by k^2 so that a forming shock (|u^_k| ~ 1/k) registers as an O(1)
     fraction independent of resolution; a fraction above the fixed 0.1 stops
-    the run."""
+    the run, unless every tail coefficient lies within the transform's
+    roundoff, n * eps * max|values| (a constant field has no derivative
+    energy, and its roundoff is no pile-up).  `k2` and `tail` come from
+    `_tail_weights(cfg.n)`, built once per run."""
     peak = np.max(np.abs(values))       # NaN if any value is NaN, inf if any is infinite
     if not np.isfinite(peak):
         return "nan"
     if peak > cfg.linf_cap:
         return "linf_cap"
-    dpow = np.sum(np.arange(vh.shape[-1], dtype=float) ** 2 * np.abs(vh) ** 2, axis=0)
-    keep_max = cfg.n // 3
-    if np.sum(dpow[(2 * keep_max) // 3:keep_max + 1]) > 0.1 * np.sum(dpow):
+    power = np.abs(vh) ** 2
+    dpow = np.sum(k2 * power, axis=0)
+    if np.sum(dpow[tail]) > 0.1 * np.sum(dpow) and \
+            np.max(power[:, tail]) > (values.shape[-1] * np.finfo(float).eps * peak) ** 2:
         return "spectral_tail"
     return None
 
 
 def _march(rhs: Callable, state: np.ndarray, grid: Grid1D, cfg: SolverConfig,
            values: Callable, filter_k: np.ndarray | None, check: Callable,
-           observer: Callable | None, store_states: bool) -> Trajectory:
-    """Fixed-step RK4 for d_t state = rhs(t, values(state)), 0 <= t <= t_final.
+           observer: Callable | None, store_states: bool,
+           step_bound: Callable | None) -> Trajectory:
+    """RK4 for d_t state = rhs(t, values(state)), 0 <= t <= t_final.
 
+    The run lands exactly on the sample times t_j = j * t_final / (m - 1),
+    m = sample_count: each interval [t_j, t_j+1] is split evenly into the
+    fewest steps no longer than the target step, which is cfg.dt or, when
+    `step_bound` is given, `step_bound()`, called right after each step's
+    first stage rhs(t, values(state)) to size the step from the field at t.
+    The split is made at the start of the interval, and made again over what
+    is left of it when the target falls below the planned step; so a step
+    grows only at a sample time.  Without `step_bound` the one interval of
+    sample_count = 2 takes t_final / ceil(t_final / cfg.dt) steps.
     `values(state)` is a stack whose first entry is the (N, n) grid values;
     after a step it also feeds `check(values, state)`, whose non-None verdict
     stops the run as the breakdown, and `observer(t, values)`, called at t = 0
-    and at every sample time.  A state of Fourier coefficients at wavenumbers
-    `filter_k` (None: physical space) is multiplied after each step by the
-    exponential filter, whose strength is a damping rate per unit time at the
-    top mode, so refining dt leaves the filtered dynamics unchanged; its
+    and at every sample time.  A step that ends in a breakdown other than
+    "nan" is bisected four times from its start, so the run stops at the
+    first breakdown state to within a sixteenth of the step: a quantity
+    read at the stop (the instability ratio at the L-infinity cap) then
+    moves by at most a sixteenth of one step's growth with the step grid.
+    A state of Fourier coefficients at wavenumbers `filter_k` (None:
+    physical space) is multiplied after each step of length dt by
+    exp(-filter_strength dt (k / kmax)^16), a damping rate per unit time at
+    the top mode, so the step leaves the filtered dynamics unchanged; its
     order is 8.
     """
     n = grid.n
-    n_steps = max(1, int(math.ceil(cfg.t_final / cfg.dt)))
-    dt = cfg.t_final / n_steps
-    filt = None
+    n_int = max(1, cfg.sample_count - 1)
+    profile = None
     if filter_k is not None and cfg.filter_strength > 0:
-        kmax = np.max(np.abs(filter_k))
-        filt = np.exp(-cfg.filter_strength * dt * (np.abs(filter_k) / kmax) ** 16)
-    sample_every = max(1, n_steps // max(1, cfg.sample_count - 1))
+        profile = (np.abs(filter_k) / np.max(np.abs(filter_k))) ** 16
+
+    # the stages k1..k4 outlive the step, each replaced by the next step's:
+    # dropping three of them at every step's end lets malloc return the top
+    # of the heap and fault it back in on the next step (the linearized runs
+    # of the `free` benchmark on a 2-core Xeon: 9,000 page faults per pass
+    # against 1,600, and about 20% slower)
+    stages = [None] * 4
+
+    def advance(t, state, dt):      # one filtered step; stages[0] = rhs(t, values(state))
+        k1 = stages[0]
+        stages[1] = k2 = rhs(t + dt / 2, values(state + dt / 2 * k1))
+        stages[2] = k3 = rhs(t + dt / 2, values(state + dt / 2 * k2))
+        stages[3] = k4 = rhs(t + dt, values(state + dt * k3))
+        state = state + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if profile is not None:
+            state *= np.exp(-cfg.filter_strength * dt * profile)
+        return state, values(state)
+
     w = values(state)
     times = [0.0]
     states = [w[0].copy()] if store_states else []
@@ -117,25 +167,38 @@ def _march(rhs: Callable, state: np.ndarray, grid: Grid1D, cfg: SolverConfig,
         observer(0.0, w[0])
     breakdown = None
     t = 0.0
-    for step in range(1, n_steps + 1):
-        k1 = rhs(t, w)
-        k2 = rhs(t + dt / 2, values(state + dt / 2 * k1))
-        k3 = rhs(t + dt / 2, values(state + dt / 2 * k2))
-        k4 = rhs(t + dt, values(state + dt * k3))
-        state = state + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if filt is not None:
-            state *= filt
-        w = values(state)
-        t = step * dt
-        reason = check(w[0], state)
-        if reason is not None:
-            breakdown = BreakdownInfo(t, reason)
-        if breakdown is not None or step % sample_every == 0 or step == n_steps:
-            times.append(t)
-            if store_states:
-                states.append(w[0].copy())
-            if observer is not None and np.all(np.isfinite(w[0])):
-                observer(t, w[0])
+    for t_end in (cfg.t_final * np.arange(1, n_int + 1) / n_int).tolist():
+        steps = 0           # no split of this interval yet
+        while breakdown is None and t != t_end:
+            stages[0] = rhs(t, w)
+            target = cfg.dt if step_bound is None else step_bound()
+            if not steps or target < dt:
+                base, taken = t, 0
+                steps = max(1, math.ceil((t_end - t) / target))
+                dt = (t_end - t) / steps
+            new, w_new = advance(t, state, dt)
+            taken += 1
+            t_new = t_end if taken == steps else base + taken * dt
+            reason = check(w_new[0], new)
+            if reason not in (None, "nan"):
+                length = dt
+                for _ in range(4):          # the first breakdown state, to dt / 16
+                    length /= 2
+                    mid, w_mid = advance(t, state, length)
+                    verdict = check(w_mid[0], mid)
+                    if verdict is None:
+                        t, state, w = t + length, mid, w_mid
+                        stages[0] = rhs(t, w)
+                    else:
+                        t_new, new, w_new, reason = t + length, mid, w_mid, verdict
+            if reason is not None:
+                breakdown = BreakdownInfo(t_new, reason)
+            t, state, w = t_new, new, w_new
+        times.append(t)
+        if store_states:
+            states.append(w[0].copy())
+        if observer is not None and np.all(np.isfinite(w[0])):
+            observer(t, w[0])
         if breakdown is not None:
             break
     return Trajectory(np.asarray(times),
@@ -152,6 +215,13 @@ def evolve(sys: SystemSpec, u0: GridFunction, cfg: SolverConfig,
     by the 2/3 rule; the state is filtered each step and checked by
     `breakdown_detector`.  `observer(t, values)` gets the (N, n) field,
     letting callers record reduced observables without storing full snapshots.
+
+    Each step's target is max(cfg.dt, (2/3) cfg.dt cfg.max_speed / s(u)) for
+    the field u it steps, s(u) = 1.2 max_x ||A(u(x))||_inf: the row-sum norm
+    bounds the spectral radius, and it is read off the A(u) that the step's
+    first stage builds.  That is a CFL number dt s n / length of 2/3 of the
+    configured one (0.3 dt_safety in the instability experiment) while it
+    allows a step longer than cfg.dt.  The source does not enter the step.
     """
     if sys.space_dim != 1:
         raise ValueError("evolve supports one space dimension")
@@ -165,19 +235,30 @@ def evolve(sys: SystemSpec, u0: GridFunction, cfg: SolverConfig,
     deal = np.arange(k.size) <= n // 3
     flux = sys.fluxes_vec[0]
     src = sys.source_vec
+    k2, tail = _tail_weights(n)
+    vh0 = np.fft.rfft(np.real(u0.values).T, axis=-1)
+    stack = np.empty((2,) + vh0.shape, dtype=complex)
+    a = None            # the flux of the latest stage, (N, N, n)
 
     def values(vh):     # the field and its derivative from one transform
-        return np.fft.irfft(np.stack((vh, ik * vh)), n=n, axis=-1)
+        stack[0] = vh
+        np.multiply(ik, vh, out=stack[1])
+        return np.fft.irfft(stack, n=n, axis=-1)
 
     def rhs(t, w):
+        nonlocal a
         v, vx = w
-        a = np.ascontiguousarray(flux(t, xs, v.T).transpose(1, 2, 0))    # (N, N, n)
+        a = np.ascontiguousarray(flux(t, xs, v.T).transpose(1, 2, 0))
         out = src(t, xs, v.T).T - np.einsum("ijx,jx->ix", a, vx)
         return np.fft.rfft(out, axis=-1) * deal
 
-    return _march(rhs, np.fft.rfft(np.real(u0.values).T, axis=-1), grid, cfg,
-                  values, k, lambda v, vh: breakdown_detector(v, vh, cfg),
-                  observer, store_states)
+    def step_bound():
+        s = 1.2 * float(np.max(np.sum(np.abs(a), axis=1)))
+        return cfg.dt * max(1.0, (2.0 / 3.0) * cfg.max_speed / s) if s > 0 else math.inf
+
+    return _march(rhs, vh0, grid, cfg, values, k,
+                  lambda v, vh: breakdown_detector(v, vh, cfg, k2, tail),
+                  observer, store_states, step_bound)
 
 
 def evolve_linearized(sys: SystemSpec, phi_vec: Callable, v0: GridFunction,
@@ -216,7 +297,7 @@ def evolve_linearized(sys: SystemSpec, phi_vec: Callable, v0: GridFunction,
     return _march(rhs, v0.values.T.astype(complex).copy(), grid, cfg,
                   lambda w: (w,), None,
                   lambda w, _: None if np.all(np.isfinite(w)) else "nan",
-                  None, True)
+                  None, True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +447,15 @@ def run_instability_experiment(sys: SystemSpec, phi, classification,
     identical pipeline, borrowing the scales in `params`.  The grid has the
     fewest nodes, an even 2^a 3^b 5^c count (at least 16), that give the
     carrier at least 8 nodes per oscillation and the observation ball at least
-    16 nodes; the filter has order 8, and the observer samples 60 times per
-    run.  The run draws no random numbers, so it needs no seed.
+    16 nodes; the filter has order 8, and the observer samples at the 60
+    times j t_final / 59 and at the breakdown.  The configured step
+    dt_safety * 0.45 length / (n speed), speed = 1.2 (max|phi0| + 1 + cap),
+    is safe for every field below the cap; `evolve` steps longer while the
+    field allows, at a CFL number of 0.3 dt_safety against its own flux.
+    The ratio at an L-infinity-cap stop is read at the first state past the
+    cap, located to a sixteenth of a step, so it is set only to within that
+    much of one step's growth past the cap.  The run draws no random
+    numbers, so it needs no seed.
     """
     if not control and classification is not None and \
             classification.regime in (PERSISTENT, INDETERMINATE):

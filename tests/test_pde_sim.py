@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -7,13 +9,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from hypflow import pde_sim
 from hypflow.classifier import classify
 from hypflow.examples import burgers1d, get_state, kgz
 from hypflow.pde_sim import (BoxLengthError, HadamardParams, SolverConfig,
                              _check_period, _frozen_synthesis, _stepped_synthesis,
-                             _wrap_dist, breakdown_detector, evolve, evolve_linearized,
-                             free_solution_compare, run_instability_experiment,
-                             w1inf_ball)
+                             _tail_weights, _wrap_dist, breakdown_detector, evolve,
+                             evolve_linearized, free_solution_compare,
+                             run_instability_experiment, w1inf_ball)
 from hypflow.semiclassical import Grid1D, GridFunction, WavePacketSpec, build_wavepacket
 from hypflow.system_model import Domain, ReferenceSolution, SystemSpec
 
@@ -114,7 +117,7 @@ def test_breakdown_detector_cases():
     def verdict(values):
         with np.errstate(invalid="ignore"):     # the transform of an infinite value
             vh = np.fft.rfft(values)
-        return breakdown_detector(values, vh, cfg)
+        return breakdown_detector(values, vh, cfg, *_tail_weights(n))
 
     smooth = np.cos(grid.nodes).reshape(1, -1)
     assert verdict(smooth) is None
@@ -128,6 +131,11 @@ def test_breakdown_detector_cases():
     # below the band and passes
     assert verdict(smooth + 1e-2 * np.cos(300 * grid.nodes)) == "spectral_tail"
     assert verdict(smooth + 1e-2 * np.cos(200 * grid.nodes)) is None
+    # a constant field on 2000 nodes: its rfft leaves about 1e-14 in every
+    # mode, roundoff and no pile-up
+    flat = np.full((2, 2000), 0.3)
+    cfg = SolverConfig(n=2000, dt=1e-4, t_final=1.0, max_speed=0.5, linf_cap=2.0)
+    assert breakdown_detector(flat, np.fft.rfft(flat), cfg, *_tail_weights(2000)) is None
 
 
 def test_evolve_transform_budget(monkeypatch):
@@ -161,6 +169,38 @@ def test_breakdown_near_shock_time():
     traj = evolve(sysb, GridFunction(grid, u0f(grid.nodes).reshape(-1, 1)), cfg)
     assert traj.breakdown is not None
     assert abs(traj.breakdown.time - t_shock) <= 0.05 * t_shock
+
+
+def test_evolve_sizes_steps_from_the_field(monkeypatch):
+    # the cfg the instability experiment builds for the symmetric control at
+    # eps 10^-2.5 is sized for the cap: speed 1.2 (max|phi0| + 1 + cap) =
+    # 2.76, where A(phi0) has row-sum norm 0.4.  Stepping the constant state
+    # phi0 takes at most a third of the fixed steps, and lands exactly on the
+    # sample times
+    ctrl = get_state("symmetric-control", "default")
+    params = HadamardParams(K=3.0, alpha=1.0, m=1.25, delta=0.7, T_star=9.0,
+                            h=0.5, gamma_minus=0.5)
+    cfgs = []
+    monkeypatch.setattr(pde_sim, "evolve",
+                        lambda sys, u0, cfg, **kw: cfgs.append(cfg) or evolve(sys, u0, cfg, **kw))
+    run_instability_experiment(ctrl.sys, ctrl.phi, None, params, [10 ** -2.5],
+                               e_vec=ctrl.e_vec, phi_traj_vec=ctrl.phi_traj_vec,
+                               length=np.pi / 2.0, linf_cap=1.0, control=True)
+    (cfg,) = cfgs
+    calls = []
+
+    def flux(t, xs, us):
+        calls.append(1)
+        return ctrl.sys.fluxes_vec[0](t, xs, us)
+
+    grid = Grid1D(cfg.n, cfg.length, x_left=-cfg.length / 2.0)
+    phi0 = np.asarray(ctrl.phi_traj_vec(0.0, grid.nodes))
+    traj = evolve(dataclasses.replace(ctrl.sys, fluxes_vec=(flux,)),
+                  GridFunction(grid, phi0), cfg, store_states=False)
+    m = cfg.sample_count
+    assert traj.breakdown is None
+    np.testing.assert_array_equal(traj.times, cfg.t_final * np.arange(m) / (m - 1))
+    assert 3 * len(calls) <= 4 * math.ceil(cfg.t_final / cfg.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +429,18 @@ def test_free_solution_frozen_synthesis_pinned():
 
 
 def _synthesis_oracle(a0, uh, ks, grid, scale):
-    # one matrix exponential per mode and node, summed directly
+    # one matrix exponential per mode and node, summed directly; for 2 x 2
+    # a0, expm(M) = R.T expm(R M R.T) R with one fixed rotation R, so that a
+    # triangular a0 does not send scipy's expm down its per-matrix branch
     out = np.zeros((uh.shape[1], grid.n), dtype=complex)
     rel = grid.nodes - grid.x_left
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    turned = rot @ a0 @ rot.T
     for k in ks:
         xi = grid.freqs[k]
-        s = expm(scale * xi * a0)                                   # (n, N, N)
-        out += (s @ uh[k]).T * np.exp(1j * xi * rel)
+        flow = rot.T @ expm(scale * xi * turned) @ rot              # (n, N, N)
+        out += (flow @ uh[k]).T * np.exp(1j * xi * rel)
     return out / grid.n
 
 
@@ -423,8 +468,7 @@ def test_frozen_synthesis_matches_per_mode_sum_when_oscillating(scale):
     # real eigenvalues that vary with x, so the flow oscillates and its
     # exponent spreads over the grid: 199 modes on both sides of xi = 0 take
     # 25 blocks at -0.3i and 67 at -1i; one series over all of them misses
-    # the oracle by 9e-7 and 2e21 (measured).  The oracle takes 9-15 s
-    # here: scipy's expm steps triangular matrices one by one in Python
+    # the oracle by 9e-7 and 2e21 (measured)
     grid = Grid1D(256, 2 * np.pi, x_left=-np.pi)
     x = grid.nodes
     a0 = np.zeros((grid.n, 2, 2))
