@@ -5,11 +5,12 @@ times.  The nonlinear evolution holds the rfft of its state, so 2/3-rule
 dealiasing and the exponential filter (strength recorded in every report) are
 multiplies; it sizes each step from the flux of the field it steps, and stops
 on an L-infinity cap, an unresolved-gradient proxy or NaN.  The linearized
-evolution in the rescaled frame steps in physical space, unfiltered, in
-uniform steps, and stops on NaN.  On top: the Hoelder-ratio measurement on
-shrinking balls, the ladder experiment, and the free-solution comparison
-against the quantized symbolic flow, whose time-dependent mode flows take the
-adaptive stepper of `symbolic_flow`.
+evolution d_t v + G(t) d_x v = 0, for a generator G sampled on the grid,
+steps in physical space, unfiltered, in uniform steps, and stops on NaN.  On
+top: the Hoelder-ratio measurement on shrinking balls, the ladder experiment,
+and the free-solution comparison against the quantized symbolic flow, where a
+frozen symbol is sampled and decomposed once and time-dependent mode flows
+take the adaptive stepper of `symbolic_flow`.
 """
 
 from __future__ import annotations
@@ -261,38 +262,22 @@ def evolve(sys: SystemSpec, u0: GridFunction, cfg: SolverConfig,
                   observer, store_states, step_bound)
 
 
-def evolve_linearized(sys: SystemSpec, phi_vec: Callable, v0: GridFunction,
-                      eps: float, h: float, x0: float, cfg: SolverConfig,
-                      B_fn: Callable | None = None) -> Trajectory:
-    """Linearized evolution in the rescaled spatial frame (original time):
-    d_t v + eps^(h-1) A1(t, x0 + eps^(1-h) x, phi) d_x v + B v = 0.
+def evolve_linearized(gen: Callable, v0: GridFunction, cfg: SolverConfig) -> Trajectory:
+    """Linearized evolution d_t v + G(t) d_x v = 0 on v0's grid, where
+    gen(t) -> (N, N, n) is the generator G sampled on that grid's nodes.
 
-    phi_vec(t, xs) -> (n, N) samples the reference solution at the rescaled
-    nodes; B_fn(t, xs) -> (n, N, N) is the optional zero-order term.  There
-    is no filter (cfg.filter_strength must be 0); a non-finite state stops the
-    run as a "nan" breakdown.
+    There is no filter (cfg.filter_strength must be 0); a non-finite state
+    stops the run as a "nan" breakdown.
     """
     if cfg.filter_strength > 0:
         raise ValueError(f"no filter here: filter_strength = {cfg.filter_strength:g}")
     grid = v0.grid
-    n = grid.n
-    xs_resc = grid.nodes
-    xs_phys = x0 + eps ** (1.0 - h) * xs_resc
-    kk = 2.0 * np.pi * np.fft.fftfreq(n, d=cfg.length / n)
-    flux = sys.fluxes_vec[0]
-    pref = eps ** (h - 1.0)
+    ik = 1j * grid.freqs
 
     def rhs(t, ws):
         (w,) = ws
-        wh = np.fft.fft(w, axis=-1)
-        wx = np.fft.ifft(1j * kk * wh, axis=-1)
-        us = phi_vec(t, xs_phys)
-        a = np.ascontiguousarray(flux(t, xs_phys, us).transpose(1, 2, 0))    # (N, N, n)
-        out = -pref * np.einsum("ijx,jx->ix", a, wx)
-        if B_fn is not None:
-            b = np.ascontiguousarray(B_fn(t, xs_resc).transpose(1, 2, 0))
-            out -= np.einsum("ijx,jx->ix", b, w)
-        return out
+        wx = np.fft.ifft(ik * np.fft.fft(w, axis=-1), axis=-1)
+        return -np.einsum("ijx,jx->ix", gen(t), wx)
 
     return _march(rhs, v0.values.T.astype(complex).copy(), grid, cfg,
                   lambda w: (w,), None,
@@ -563,10 +548,12 @@ class _ModeGenerator:
         return out
 
 
-def _frozen_synthesis(a0: np.ndarray, uh: np.ndarray, ks: np.ndarray,
+def _frozen_synthesis(lam: np.ndarray, vecs: np.ndarray, uh: np.ndarray, ks: np.ndarray,
                       grid: Grid1D, scale: complex) -> np.ndarray:
     """Kohn-Nirenberg sum sum_k exp(scale xi_k a0(x)) u^_k exp(i xi_k (x - x_left)) / n
-    over the FFT indices `ks`, for a0 (n, N, N) and u^ (n, N); returns (N, n).
+    over the FFT indices `ks`, for u^ (n, N) and a0 (n, N, N) given by its
+    decomposition lam, vecs = np.linalg.eig(a0); returns (N, n).  A complex
+    `lam` is overwritten.
 
     With a0 = V diag(lambda) V^-1 and xi_k = (2 pi / L) m_k, mode k carries
     exp(m_k sigma_j) omega^m_k at node p in eigen-coordinate j, where
@@ -588,7 +575,6 @@ def _frozen_synthesis(a0: np.ndarray, uh: np.ndarray, ks: np.ndarray,
     raises RuntimeError.
     """
     n = grid.n
-    lam, vecs = np.linalg.eig(a0)                                       # (n, N), (n, N, N)
     vinv = np.linalg.inv(vecs).transpose(1, 2, 0)                       # (N, N, n)
     ms = (ks + n // 2) % n - n // 2                                     # signed FFT index
     m_lo = int(ms.min())
@@ -706,24 +692,34 @@ def free_solution_compare(sys: SystemSpec, phi, eps: float, classification,
     xs = grid.nodes
     tau_end = eps ** h * t_end
 
+    def a1(tau, x):
+        return flux(tau, x, phi_vec(tau, x))
+
     # A1 on the grid at 0, 0.37, 0.81 and 1 x tau_end: the frozen test, and
     # the step size, which takes the largest speed among these samples so a
     # flux that grows in time does not under-resolve the run (a non-finite
-    # sample is left to the linearized run, which stops on it)
-    samples = [flux(f * tau_end, xs, phi_vec(f * tau_end, xs))
-               for f in (0.0, 0.37, 0.81, 1.0)]                # (n, N, N) each
+    # sample is left to the linearized run, which stops on it; a frozen
+    # symbol is finite, as a non-finite sample fails the test)
+    samples = [a1(f * tau_end, xs) for f in (0.0, 0.37, 0.81, 1.0)]    # (n, N, N) each
     a0 = samples[0]
     frozen = all(np.max(np.abs(a - a0)) < 1e-13 * max(1.0, np.max(np.abs(a0)))
                  for a in samples[1:])
-    finite = [a for a in (samples[:1] if frozen else samples) if np.all(np.isfinite(a))]
-    amax = max((float(np.max(np.abs(np.linalg.eigvals(a)))) for a in finite), default=0.0)
+    if frozen:
+        lam, vecs = np.linalg.eig(a0)                   # (n, N), (n, N, N)
+        amax = float(np.max(np.abs(lam)))
+        g0 = np.ascontiguousarray(a0.transpose(1, 2, 0))
+        gen = lambda t: g0
+    else:
+        amax = max((float(np.max(np.abs(np.linalg.eigvals(a)))) for a in samples
+                    if np.all(np.isfinite(a))), default=0.0)
+        gen = lambda t: np.ascontiguousarray(a1(t, xs).transpose(1, 2, 0))
 
-    # direct linearized run, original time to eps^h * t_end
+    # direct linearized run, original time to eps^h * t_end (h = 1: G = A1)
     speed = eps ** (h - 1.0) * 1.2 * (amax + 0.1)
     dt = dt_safety * 0.5 * length / (n * speed)
     cfg = SolverConfig(n=n, dt=dt, t_final=tau_end, max_speed=speed,
                        length=length, filter_strength=0.0, sample_count=2)
-    traj = evolve_linearized(sys, phi_vec, v0, eps, h, 0.0, cfg)
+    traj = evolve_linearized(gen, v0, cfg=cfg)
     if traj.breakdown is not None:
         raise RuntimeError(f"linearized run broke down ({traj.breakdown.reason}) "
                            f"at t = {traj.breakdown.time:.6g}")
@@ -738,10 +734,9 @@ def free_solution_compare(sys: SystemSpec, phi, eps: float, classification,
     ks = np.nonzero(mags > 1e-12 * np.max(mags))[0]
     pref = sign * 1j * eps ** (2.0 * h - 1.0)
     if frozen:
-        out = _frozen_synthesis(a0, uh, ks, grid, -pref * t_end)
+        out = _frozen_synthesis(lam, vecs, uh, ks, grid, -pref * t_end)
     else:
-        out = _stepped_synthesis(lambda t, x: flux(eps * t, x, phi_vec(eps * t, x)),
-                                 uh, ks, grid, pref, t_end)
+        out = _stepped_synthesis(lambda t, x: a1(eps * t, x), uh, ks, grid, pref, t_end)
 
     err = np.linalg.norm(v_lin - out) / np.linalg.norm(v_lin)
     return FreeSolutionReport(eps, float(err), n, ks.size)

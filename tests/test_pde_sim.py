@@ -213,6 +213,12 @@ def _packet(grid, eps, h, e_vec, K=0.0, delta=1.0):
     return build_wavepacket(spec, grid, frame="rescaled")
 
 
+def _flux_gen(sys, phi_vec, grid):
+    """The generator A1(t, x, phi(t, x)) on the grid's nodes, (N, N, n)."""
+    xs = grid.nodes
+    return lambda t: sys.fluxes_vec[0](t, xs, phi_vec(t, xs)).transpose(1, 2, 0)
+
+
 def test_linearized_constant_transport_fourier_exact():
     sysb = burgers1d(1.0, (0.0, 0.0))
     eps, h = 1e-2, 1.0
@@ -223,7 +229,7 @@ def test_linearized_constant_transport_fourier_exact():
     t_end = 0.5 * eps
     cfg = SolverConfig(n=n, dt=t_end / 400, t_final=t_end, max_speed=1.0,
                        filter_strength=0.0, sample_count=2)
-    traj = evolve_linearized(sysb, phi_vec, v0, eps, h, 0.0, cfg)
+    traj = evolve_linearized(_flux_gen(sysb, phi_vec, grid), v0, cfg)
     # Fourier-exact: each mode multiplied by exp(-i k t A(phi)) with A = 0.3 I
     a = np.array([[0.3, 0.0], [0.0, 0.3]])
     vh = v0.hat()
@@ -243,7 +249,7 @@ def test_linearized_rejects_filter():
     v0 = _packet(grid, 1e-1, 1.0, (1.0, 0.0))
     cfg = SolverConfig(n=n, dt=1e-3, t_final=1e-2, max_speed=1.0)
     with pytest.raises(ValueError, match="filter_strength = 36"):
-        evolve_linearized(sysb, phi_vec, v0, 1e-1, 1.0, 0.0, cfg)
+        evolve_linearized(_flux_gen(sysb, phi_vec, grid), v0, cfg)
 
 
 def _band_amplitude(values, grid, k0, width):
@@ -266,43 +272,10 @@ def test_linearized_elliptic_amplitude_law():
     cfg = SolverConfig(n=n, dt=eps / 300, t_final=t_end, max_speed=1.0,
                        filter_strength=0.0, sample_count=30)
     k0 = int(round(1.0 / eps))
-    traj = evolve_linearized(sysb, phi_vec, v0, eps, h, 0.0, cfg)
+    traj = evolve_linearized(_flux_gen(sysb, phi_vec, grid), v0, cfg)
     amps = [_band_amplitude(vals, grid, k0, 12) for vals in traj.states]
     slope = np.polyfit(traj.times / eps, np.log(amps), 1)[0]
     assert abs(slope - 0.3) <= 0.05 * 0.3
-
-
-def test_linearized_zero_order_term_changes_no_rate():
-    sysb = burgers1d(1.0, (0.0, 1.0))
-    eps, h = 1e-2, 1.0
-    phi_fn = lambda x: np.array([0.3 + 0.1 * np.sin(x), 0.2 + 0.0 * x])
-
-    def phi_vec(t, xs):
-        xs = np.atleast_1d(xs)
-        return np.column_stack([0.3 + 0.1 * np.sin(xs), np.full(xs.size, 0.2)])
-
-    def b_fn(t, xs):
-        # (du A [v]) dx phi - du F [v] with b=1: rows from the flux derivative
-        xs = np.atleast_1d(xs)
-        dphi1 = eps ** (1.0 - h) * 0.1 * np.cos(xs)   # d/dx of phi(x0 + eps^(1-h) x)
-        out = np.zeros((xs.size, 2, 2))
-        out[:, 0, 0] = dphi1
-        out[:, 1, 1] = dphi1
-        return out
-
-    n = 1 << 10
-    grid = Grid1D(n, 2 * np.pi, x_left=-np.pi)
-    v0 = _packet(grid, eps, h, (1j, 1.0))
-    t_end = 2.5 * eps
-    cfg = SolverConfig(n=n, dt=eps / 300, t_final=t_end, max_speed=1.0,
-                       filter_strength=0.0, sample_count=30)
-    k0 = int(round(1.0 / eps))
-    rates = []
-    for bf in (None, b_fn):
-        traj = evolve_linearized(sysb, phi_vec, v0, eps, h, 0.0, cfg, B_fn=bf)
-        amps = [_band_amplitude(vals, grid, k0, 12) for vals in traj.states]
-        rates.append(np.polyfit(traj.times / eps, np.log(amps), 1)[0])
-    assert abs(rates[1] - rates[0]) <= 0.05 * abs(rates[0])
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +431,7 @@ def test_frozen_synthesis_matches_per_mode_sum(sign):
     ks = np.array([2, 3, 4, 6, 7, grid.n - 3, grid.n - 5, grid.n - 6])
     uh[ks] = rng.normal(size=(ks.size, 2)) + 1j * rng.normal(size=(ks.size, 2))
     scale = -sign * 1j * 0.1 * 1.5
-    got = _frozen_synthesis(a0, uh, ks, grid, scale)
+    got = _frozen_synthesis(*np.linalg.eig(a0), uh, ks, grid, scale)
     want = _synthesis_oracle(a0, uh, ks, grid, scale)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -479,7 +452,7 @@ def test_frozen_synthesis_matches_per_mode_sum_when_oscillating(scale):
     uh = np.zeros((grid.n, 2), dtype=complex)
     ks = np.r_[1:100, 156:256]
     uh[ks] = rng.normal(size=(ks.size, 2)) + 1j * rng.normal(size=(ks.size, 2))
-    got = _frozen_synthesis(a0, uh, ks, grid, scale)
+    got = _frozen_synthesis(*np.linalg.eig(a0), uh, ks, grid, scale)
     want = _synthesis_oracle(a0, uh, ks, grid, scale)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -491,7 +464,7 @@ def test_frozen_synthesis_overflow_raises():
     ks = np.array([5, 30])
     uh[ks] = 1.0
     with pytest.raises(RuntimeError, match="overflow"):
-        _frozen_synthesis(a0, uh, ks, grid, -1j * 100.0)
+        _frozen_synthesis(*np.linalg.eig(a0), uh, ks, grid, -1j * 100.0)
 
 
 @pytest.mark.parametrize("n, eps", [(64, 0.2), (80, 0.1), (400, 0.05), (512, 0.02)])
@@ -513,7 +486,8 @@ def test_stepped_synthesis_matches_separable_oracle(n, eps):
     uh[ks] = rng.normal(size=(ks.size, 2)) + 1j * rng.normal(size=(ks.size, 2))
     got = _stepped_synthesis(a1, uh, ks, grid, pref, t_end)
     integral = t_end + 10.0 * eps * t_end ** 2
-    want = _frozen_synthesis(a1(0.0, grid.nodes), uh, ks, grid, -pref * integral)
+    want = _frozen_synthesis(*np.linalg.eig(a1(0.0, grid.nodes)), uh, ks, grid,
+                             -pref * integral)
     # measured 1.8e-10 (eps 0.2) and 2.8e-12 (eps 0.02), the same on every
     # grid: the stepper's error; the bound is its rtol
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
@@ -542,6 +516,23 @@ def test_e_vec_defaults_to_first_unit_vector():
                                      phi_traj_vec=b.phi_traj_vec, length=np.pi / 2.0,
                                      linf_cap=1.0)
     assert np.isfinite(rep.rows[0].ratio) and rep.rows[0].ratio > 0
+
+
+def test_free_solution_samples_a_frozen_flux_four_times():
+    # the frozen test's four samples are the only flux calls: the linearized
+    # run steps the first sample, and the synthesis decomposes it
+    const = _scaled_j("const", lambda t, x: 1.0)
+    times = []
+
+    def counted(t, xs, us):
+        times.append(t)
+        return const.fluxes_vec[0](t, xs, us)
+
+    counted_sys = dataclasses.replace(const, fluxes_vec=(counted,))
+    rep = free_solution_compare(counted_sys, _ZERO_PHI, 0.1, None, 2.0, e_vec=(1.0, 1j),
+                                phi_vec=_zero_phi_vec)
+    assert len(times) == 4
+    assert rep.rel_error < 1e-3
 
 
 def test_free_solution_time_dependent_flux():
@@ -577,7 +568,7 @@ def test_free_solution_raises_on_linearized_breakdown():
     v0 = _packet(grid, eps, h, (1.0, 1j))
     cfg = SolverConfig(n=n, dt=1e-4, t_final=1e-3, max_speed=1.0,
                        filter_strength=0.0, sample_count=2)
-    traj = evolve_linearized(sysn, phiv, v0, eps, h, 0.0, cfg)
+    traj = evolve_linearized(_flux_gen(sysn, phiv, grid), v0, cfg)
     assert traj.breakdown is not None and traj.breakdown.reason == "nan"
     assert traj.times[-1] == traj.breakdown.time == pytest.approx(1e-4)
     assert len(traj.states) == len(traj.times) == 2

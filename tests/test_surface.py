@@ -223,7 +223,7 @@ def test_option_exemptions_are_needed():
 
 # settable values (options and fields with defaults) in src/hypflow; a change
 # that adds one raises this census in its own diff
-SETTABLE_VALUES = 63
+SETTABLE_VALUES = 62
 
 
 def test_settable_value_count():

@@ -7,9 +7,11 @@ PARENT and CHANGE are two checkouts of the repository.  Each pair runs
 parent first in even pairs, the change first in odd ones.  The runs get
 PYTHONDONTWRITEBYTECODE=1, and any `__pycache__` under the checkouts' `src/`
 and `perfbench/` is removed first, so every run compiles the modules it
-imports, as a fresh checkout does.  Only the last line of perfbench's output,
-the end-to-end metrics, is read.  Every pair is printed; then, per metric,
-both medians, the parent's quartiles and how many pairs the change read lower.
+imports, as a fresh checkout does.  Two lines of perfbench's output are read:
+the last, the end-to-end metrics, and the `physics` line.  Every pair is
+printed; then, per metric, both medians, the parent's quartiles and how many
+pairs the change read lower; and last whether the two physics lines were
+byte-identical in every pair, or else the first key that differs.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from pathlib import Path
 
 
 def run_once(root: Path, workload: str, seconds: float) -> dict:
-    """One perfbench run in checkout `root`; returns its last output line."""
+    """One perfbench run in checkout `root`; returns its last output line,
+    with its physics line, as printed, under "physics"."""
     for sub in ("src", "perfbench"):
         for cache in (root / sub).rglob("__pycache__"):
             shutil.rmtree(cache)
@@ -35,10 +38,31 @@ def run_once(root: Path, workload: str, seconds: float) -> dict:
          "--seed", "0", "--seconds", str(seconds), "--trace", "0"],
         cwd=root, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    physics = [line for line in lines if line.startswith("physics ")]
+    if proc.returncode != 0 or not physics:
         sys.exit(f"bench_pairs: perfbench failed in {root} (exit {proc.returncode}):\n"
                  f"{proc.stderr.strip()[-2000:]}")
-    return json.loads(lines[-1])
+    return {**json.loads(lines[-1]), "physics": physics[0]}
+
+
+def first_difference(old, new, path: str = "physics"):
+    """Path of the first differing value of two parsed physics records, keys
+    in sorted order; None if they print the same."""
+    if json.dumps(old, sort_keys=True) == json.dumps(new, sort_keys=True):
+        return None
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            if key not in old or key not in new:
+                return f"{path}.{key}"
+            found = first_difference(old[key], new[key], f"{path}.{key}")
+            if found:
+                return found
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            found = first_difference(a, b, f"{path}[{i}]")
+            if found:
+                return found
+    return path
 
 
 def main(argv=None) -> int:
@@ -77,6 +101,15 @@ def main(argv=None) -> int:
         print(f"  {name} [{meta['unit']}]: medians {statistics.median(old):.4g} / "
               f"{statistics.median(new):.4g}, parent quartiles {q1:.4g}-{q3:.4g}, "
               f"change lower in {lower} of {len(results)}")
+    differ = [i for i, r in enumerate(results)
+              if r["parent"]["physics"] != r["change"]["physics"]]
+    if not differ:
+        print(f"  physics: byte-identical in all {len(results)} pairs")
+    else:
+        old, new = (json.loads(results[differ[0]][side]["physics"][len("physics "):])
+                    for side in ("parent", "change"))
+        print(f"  physics: differs in {len(differ)} of {len(results)} pairs; in pair "
+              f"{differ[0] + 1} first at {first_difference(old, new)}")
     return 0
 
 
