@@ -64,9 +64,8 @@ def _dcoeffs_dt(field, t, x, xi):
     return _richardson(lambda s: field.coeffs(s, x, xi), t, 1e-4)[0]
 
 
-def solve_mu_star(sys, phi, t, x, xi, lam_init) -> float:
+def solve_mu_star(field, t, x, xi, lam_init) -> float:
     """Newton on lambda -> dP/dlambda(t,x,xi,lambda) starting from lam_init."""
-    field = as_field(sys, phi)
     c = field.coeffs(t, x, xi)
     c1 = npoly.polyder(c)
     c2 = npoly.polyder(c, 2)
@@ -84,17 +83,16 @@ def solve_mu_star(sys, phi, t, x, xi, lam_init) -> float:
     raise NewtonError("mu_star Newton did not converge", abs(float(np.real(npoly.polyval(lam, c1)))))
 
 
-def solve_tau_star(sys, phi, x, xi, lam_init) -> float:
+def solve_tau_star(field, x, xi, lam_init) -> float:
     """Newton on t -> P(t, x, xi, mu_star(t,x,xi)), from t = 0 and lam_init.
 
     On the Newton path dP/dlambda(mu_star) = 0, so dP/dt matters alone:
     g'(t) = P_t(t, x, xi, mu_star(t)).
     """
-    field = as_field(sys, phi)
     t = 0.0
     mu = float(lam_init)
     for _ in range(_NEWTON_MAXITER):
-        mu = solve_mu_star(field, None, t, x, xi, mu)
+        mu = solve_mu_star(field, t, x, xi, mu)
         g = float(np.real(npoly.polyval(mu, field.coeffs(t, x, xi))))
         if abs(g) <= _NEWTON_TOL:
             if t < -_NEWTON_TOL * 10:
@@ -109,12 +107,11 @@ def solve_tau_star(sys, phi, x, xi, lam_init) -> float:
     raise NewtonError("tau_star Newton did not converge", abs(g))
 
 
-def eval_e_factor(sys, phi, t, x, xi, lam, mu: float, tau_star: float) -> float:
+def eval_e_factor(field, t, x, xi, lam, mu: float, tau_star: float) -> float:
     """e = e1/e2 with the two 16-node Gauss-Legendre integrals of the lemma:
     e1 = int_0^1 P_t((1-s) tau* + s t, x, xi, mu) ds,
     e2 = int_0^1 (1-s) P_lamlam(t, x, xi, (1-s) mu + s lam) ds.
     """
-    field = as_field(sys, phi)
     e1 = 0.0
     for s, w in zip(_GL01_NODES, _GL01_WEIGHTS):
         ts = (1.0 - s) * tau_star + s * t
@@ -135,9 +132,9 @@ def compute_branch_data(sys, phi, x, xi, lam_init) -> BranchData:
     """Solve mu_star/tau_star from lam_init and freeze the e-factor at lambda = mu:
     f0 = e(tau_star, x, xi, mu)."""
     field = as_field(sys, phi)
-    tau = solve_tau_star(field, None, x, xi, lam_init=lam_init)
-    mu = solve_mu_star(field, None, tau, x, xi, lam_init)
-    f0 = eval_e_factor(field, None, tau, x, xi, mu, mu=mu, tau_star=tau)
+    tau = solve_tau_star(field, x, xi, lam_init=lam_init)
+    mu = solve_mu_star(field, tau, x, xi, lam_init)
+    f0 = eval_e_factor(field, tau, x, xi, mu, mu=mu, tau_star=tau)
     resid = abs(float(np.real(npoly.polyval(mu, field.coeffs(tau, x, xi)))))
     return BranchData(mu=mu, tau_star=tau, f0=f0, newton_residual=resid,
                       negative_tau_flag=bool(tau < -10 * _NEWTON_TOL))

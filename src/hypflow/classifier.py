@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dfield
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -75,17 +75,6 @@ class Classification:
         return json.dumps(self.as_dict(), sort_keys=True, **kw)
 
 
-def check_ellipticity(sys, phi, x, xi, tol: float = 1e-6) -> Optional[CotangentPoint]:
-    """Witness (x, xi, lambda0) with Im lambda0 maximal if the symbol at t = 0
-    has an eigenvalue with Im > tol; None otherwise."""
-    field = as_field(sys, phi)
-    vals = field.spectrum_at(0.0, x, xi)
-    k = int(np.argmax(vals.imag))
-    if vals[k].imag > tol:
-        return CotangentPoint(np.atleast_1d(x), np.atleast_1d(xi), complex(vals[k]))
-    return None
-
-
 def _semisimple_rank_ok(a: np.ndarray, lam0: float, tol: float) -> bool:
     """rank(A - lam0 I) == N - 2, numerically via singular values."""
     n = a.shape[0]
@@ -106,12 +95,10 @@ def _ring_offsets(dim: int, count: int, radius: float) -> np.ndarray:
     return radius * v
 
 
-def check_semisimple_transition(sys, phi, omega0: CotangentPoint,
-                                tol: float = 1e-8) -> bool:
+def check_semisimple_transition(field, omega0: CotangentPoint, tol: float = 1e-8) -> bool:
     """Semisimple branching: P_t = 0 with (P_tlam)^2 < P_tt P_lamlam, the pair
     semisimple, and both conditions persisting on a ring of 8 points at
     radius 1e-2 around omega0."""
-    field = as_field(sys, phi)
     d = field.space_dim
 
     def conditions_at(x, xi, lam):
@@ -135,7 +122,7 @@ def check_semisimple_transition(sys, phi, omega0: CotangentPoint,
         x = x0 + o[:d]
         xi = xi0 + o[d:]
         try:
-            lam = solve_mu_star(field, None, 0.0, x, xi, lam0)
+            lam = solve_mu_star(field, 0.0, x, xi, lam0)
         except NewtonError as exc:
             raise IndeterminateSignal(f"root tracking failed on the ring: {exc}")
         if not conditions_at(x, xi, lam):
@@ -149,18 +136,6 @@ class SearchRegion:
 
     xs: np.ndarray   # (m, d)
     xis: np.ndarray  # (k, d)
-
-    @staticmethod
-    def grid_1d(x_values: Iterable[float], xi_values: Iterable[float] = (1.0,)):
-        xs = np.asarray(list(x_values), dtype=float).reshape(-1, 1)
-        xis = np.asarray(list(xi_values), dtype=float).reshape(-1, 1)
-        return SearchRegion(xs, xis)
-
-    @staticmethod
-    def grid_2d(x_values, xi_values):
-        xs = np.asarray(list(x_values), dtype=float).reshape(-1, 2)
-        xis = np.asarray(list(xi_values), dtype=float).reshape(-1, 2)
-        return SearchRegion(xs, xis)
 
 
 def _coalescing_candidates(vals_real: np.ndarray, pair_tol: float):
@@ -189,57 +164,56 @@ def classify(sys, phi, search_region: SearchRegion, tol: float = 1e-8) -> Classi
     jets too degenerate to decide at the tolerance yield Indeterminate.
     """
     field = as_field(sys, phi)
+    points = [(x, xi, field.spectrum_at(0.0, x, xi))
+              for x in search_region.xs for xi in search_region.xis]
 
-    # pass 1: ellipticity anywhere in the region, best witness by Im lambda
-    best = None
-    for x in search_region.xs:
-        for xi in search_region.xis:
-            w = check_ellipticity(field, None, x, xi, tol=_STRICT)
-            if w is not None and (best is None or w.lam.imag > best.lam.imag):
-                best = w
-    if best is not None:
-        jet = field.jet(best)
-        return Classification(ELLIPTIC, best, jet, tol)
+    # pass 1: ellipticity anywhere in the region, the witness of largest
+    # Im lambda (the first point and eigenvalue on a tie)
+    top = max(points, key=lambda p: p[2].imag.max(), default=None)
+    if top is not None:
+        x, xi, vals = top
+        lam = vals[np.argmax(vals.imag)]
+        if lam.imag > _STRICT:
+            best = CotangentPoint(x, xi, complex(lam))
+            return Classification(ELLIPTIC, best, field.jet(best), tol)
 
     indeterminate = False
     notes = []
-    for x in search_region.xs:
-        for xi in search_region.xis:
-            vals = field.spectrum_at(0.0, x, xi)
-            for lam0, size in _coalescing_candidates(vals.real, _PAIR_TOL):
-                omega = CotangentPoint(x, xi, complex(lam0))
-                jet = field.jet(omega)
-                if size > 2 or abs(jet.P_lamlam) <= tol:
+    for x, xi, vals in points:
+        for lam0, size in _coalescing_candidates(vals.real, _PAIR_TOL):
+            omega = CotangentPoint(x, xi, complex(lam0))
+            jet = field.jet(omega)
+            if size > 2 or abs(jet.P_lamlam) <= tol:
+                indeterminate = True
+                notes.append(f"multiplicity {size} at x={x}, xi={xi}")
+                continue
+            p_ll = float(np.real(jet.P_lamlam))
+            p_t = float(np.real(jet.P_t))
+            if p_ll * p_t > _STRICT * abs(p_ll):
+                return Classification(NONSEMISIMPLE, omega, jet, tol)
+            if p_ll * p_t < -_STRICT * abs(p_ll):
+                continue  # eigenvalues stay real for small t > 0
+            disc = float(np.real(jet.P_tlam) ** 2 - np.real(jet.P_tt) * p_ll)
+            if disc < -_STRICT:
+                try:
+                    ok = check_semisimple_transition(field, omega, tol=tol)
+                except IndeterminateSignal as exc:
                     indeterminate = True
-                    notes.append(f"multiplicity {size} at x={x}, xi={xi}")
+                    notes.append(str(exc))
                     continue
-                p_ll = float(np.real(jet.P_lamlam))
-                p_t = float(np.real(jet.P_t))
-                if p_ll * p_t > _STRICT * abs(p_ll):
-                    return Classification(NONSEMISIMPLE, omega, jet, tol)
-                if p_ll * p_t < -_STRICT * abs(p_ll):
-                    continue  # eigenvalues stay real for small t > 0
-                disc = float(np.real(jet.P_tlam) ** 2 - np.real(jet.P_tt) * p_ll)
-                if disc < -_STRICT:
-                    try:
-                        ok = check_semisimple_transition(field, None, omega, tol=tol)
-                    except IndeterminateSignal as exc:
-                        indeterminate = True
-                        notes.append(str(exc))
-                        continue
-                    if ok:
-                        return Classification(SEMISIMPLE, omega, jet, tol)
-                    indeterminate = True
-                    notes.append(f"branching jet without semisimple structure at x={x}, xi={xi}")
-                elif disc > _STRICT:
-                    continue  # real splitting of the pair
-                else:
-                    # fully degenerate second-order jet: a glued semisimple pair
-                    # moves along the real axis; a non-semisimple one is undecidable
-                    if _semisimple_rank_ok(field.symbol(0.0, x, xi), lam0, 1e-6):
-                        continue
-                    indeterminate = True
-                    notes.append(f"degenerate non-semisimple jet at x={x}, xi={xi}")
+                if ok:
+                    return Classification(SEMISIMPLE, omega, jet, tol)
+                indeterminate = True
+                notes.append(f"branching jet without semisimple structure at x={x}, xi={xi}")
+            elif disc > _STRICT:
+                continue  # real splitting of the pair
+            else:
+                # fully degenerate second-order jet: a glued semisimple pair
+                # moves along the real axis; a non-semisimple one is undecidable
+                if _semisimple_rank_ok(field.symbol(0.0, x, xi), lam0, 1e-6):
+                    continue
+                indeterminate = True
+                notes.append(f"degenerate non-semisimple jet at x={x}, xi={xi}")
     if indeterminate:
         return Classification(INDETERMINATE, None, None, tol, details={"notes": notes})
     return Classification(PERSISTENT, None, None, tol)
@@ -261,7 +235,6 @@ def discriminant_jet_crosscheck(field, x, xi) -> DiscriminantReport:
 
     Relative residuals are measured against the scale of the compared values.
     """
-    field = as_field(field, None)
     if field.state_dim != 2:
         raise ValueError("discriminant crosscheck expects a 2x2 block")
 

@@ -158,8 +158,7 @@ def constant_reference(values, dvalues_dt=None):
                              value=value), vec
 
 
-_XI_1D = (1.0,)
-REGION_1D = SearchRegion.grid_1d([0.0, 0.5, -0.5], _XI_1D)
+REGION_1D = SearchRegion(np.array([[0.0], [0.5], [-0.5]]), np.array([[1.0]]))
 
 
 def _burgers_states():
@@ -187,9 +186,9 @@ def _burgers_states():
 
 
 def _burgers2d_states():
-    xi_grid = [(1.0, 0.0), (0.0, 1.0), (0.7071067811865476, 0.7071067811865476),
-               (0.7071067811865476, -0.7071067811865476)]
-    region = SearchRegion.grid_2d([(0.0, 0.0), (0.4, -0.2)], xi_grid)
+    xi_grid = np.array([(1.0, 0.0), (0.0, 1.0), (0.7071067811865476, 0.7071067811865476),
+                        (0.7071067811865476, -0.7071067811865476)])
+    region = SearchRegion(np.array([(0.0, 0.0), (0.4, -0.2)]), xi_grid)
     sys2 = burgers2d(1.0, (0.0, 1.0))
     vals = np.array([0.2, 0.0])
     dv = np.array([0.0, 1.0])

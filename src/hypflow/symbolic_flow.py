@@ -18,7 +18,6 @@ import scipy.linalg
 
 from .branching import GrowthEnvelope, eval_growth
 from .classifier import scales_for_ell
-from .system_model import as_field
 
 
 @dataclass
@@ -110,7 +109,7 @@ def block_reduce_2x2(a: np.ndarray, mu: float):
     return q, a0, t22
 
 
-def assemble_A_star(sys_or_field, phi, Q, mu, eps: float, t: float, x, xi,
+def assemble_A_star(field, Q, mu, eps: float, t: float, x, xi,
                     x0, ell: float) -> np.ndarray:
     """Rescaled advected symbol (Q (A - mu) Q^-1) at
     (eps^h t, x0 + eps^(1-h) x, xi), the label (x, xi) held fixed.
@@ -118,7 +117,6 @@ def assemble_A_star(sys_or_field, phi, Q, mu, eps: float, t: float, x, xi,
     Q and mu are callables of (t, x, xi) (or None / 0 for the elliptic case,
     where the expression collapses to A(eps t, x0 + x, xi)).
     """
-    field = as_field(sys_or_field, phi)
     h, _ = scales_for_ell(ell)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     ts = eps ** h * t
@@ -138,13 +136,12 @@ def assemble_A_star(sys_or_field, phi, Q, mu, eps: float, t: float, x, xi,
     return a
 
 
-def make_a_star_sampler(sys_or_field, phi, eps: float, ell: float, x0, x, xi,
+def make_a_star_sampler(field, eps: float, ell: float, x0, x, xi,
                         Q=None, mu=None) -> Callable:
     """Bind assemble_A_star to a (x, xi) label; returns t -> N x N complex."""
-    field = as_field(sys_or_field, phi)
 
     def sampler(t: float) -> np.ndarray:
-        return assemble_A_star(field, None, Q, mu, eps, t, x, xi, x0, ell)
+        return assemble_A_star(field, Q, mu, eps, t, x, xi, x0, ell)
 
     return sampler
 

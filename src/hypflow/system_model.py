@@ -182,13 +182,6 @@ class TaylorExtendedSolution:
         return u + t * g + 0.5 * t * t * g2
 
 
-def time_sampler(sys: SystemSpec, phi: ReferenceSolution) -> Callable:
-    """phi(t,x) evaluator: closed form when available, else PDE-Taylor extension."""
-    if phi.value is not None:
-        return phi
-    return TaylorExtendedSolution(sys, phi)
-
-
 @dataclass(frozen=True)
 class CotangentPoint:
     """A point omega = (x, xi, lambda) in the cotangent bundle, xi != 0."""
@@ -333,16 +326,13 @@ def eval_principal_symbol(sys: SystemSpec, phi: ReferenceSolution | Callable,
 
 
 class _BaseField:
-    """Shared jet evaluation on top of a `coeffs(t,x,xi)` implementation."""
+    """Characteristic coefficients, spectrum and jet of a `symbol(t,x,xi)`."""
 
     state_dim: int
     space_dim: int
 
     def coeffs(self, t: float, x, xi) -> np.ndarray:
-        raise NotImplementedError
-
-    def symbol(self, t: float, x, xi) -> np.ndarray:
-        raise NotImplementedError
+        return charpoly_coeffs(self.symbol(t, x, xi))
 
     def spectrum_at(self, t: float, x, xi) -> np.ndarray:
         return sort_spectrum(aberth_roots(self.coeffs(t, x, xi)))
@@ -372,25 +362,9 @@ class _BaseField:
         )
 
 
-class CharPolyField(_BaseField):
-    """Characteristic polynomial field of a system linearized at phi."""
-
-    def __init__(self, sys: SystemSpec, phi: ReferenceSolution):
-        self.sys = sys
-        self.phi = phi
-        self.phi_t = time_sampler(sys, phi)
-        self.state_dim = sys.state_dim
-        self.space_dim = sys.space_dim
-
-    def symbol(self, t: float, x, xi) -> np.ndarray:
-        return eval_principal_symbol(self.sys, self.phi_t, t, x, xi)
-
-    def coeffs(self, t: float, x, xi) -> np.ndarray:
-        return charpoly_coeffs(self.symbol(t, x, xi))
-
-
 class SymbolField(_BaseField):
-    """Field built from a closed-form matrix symbol A(t,x,xi)."""
+    """Field of a matrix symbol A(t,x,xi): a closed form, or a system
+    linearized at phi (:func:`as_field`)."""
 
     def __init__(self, symbol: Callable, space_dim: int, state_dim: int):
         self._symbol = symbol
@@ -402,16 +376,18 @@ class SymbolField(_BaseField):
         xi = as_vec(xi, self.space_dim)
         return np.asarray(self._symbol(t, x, xi))
 
-    def coeffs(self, t: float, x, xi) -> np.ndarray:
-        return charpoly_coeffs(self.symbol(t, x, xi))
 
-
-def as_field(sys_or_field, phi: ReferenceSolution | None = None) -> _BaseField:
-    """Normalize (SystemSpec, phi) pairs and ready-made fields to a field."""
+def as_field(sys_or_field, phi: ReferenceSolution | None) -> _BaseField:
+    """The field of a (SystemSpec, phi) pair, its symbol linearized at phi
+    (closed-form phi(t,x) when available, else the PDE-Taylor extension); a
+    ready-made field passes through."""
     if isinstance(sys_or_field, _BaseField):
         return sys_or_field
     if isinstance(sys_or_field, SystemSpec):
         if phi is None:
             raise ValueError("a reference solution is required with a SystemSpec")
-        return CharPolyField(sys_or_field, phi)
+        sys = sys_or_field
+        phi_t = phi if phi.value is not None else TaylorExtendedSolution(sys, phi)
+        return SymbolField(lambda t, x, xi: eval_principal_symbol(sys, phi_t, t, x, xi),
+                           sys.space_dim, sys.state_dim)
     raise TypeError(f"cannot build a symbol field from {type(sys_or_field)!r}")

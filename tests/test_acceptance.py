@@ -91,7 +91,7 @@ def test_criterion_04_growth_exponent_laws():
     field = SymbolField(
         lambda t, x, xi: xi[0] * (0.7 * np.eye(2) + t * atil + 0.3 * t * t * pert),
         1, 2)
-    sampler = make_a_star_sampler(field, None, eps1, 1.0, [0.0], [0.0], [1.0],
+    sampler = make_a_star_sampler(field, eps1, 1.0, [0.0], [0.0], [1.0],
                                   mu=lambda t, x, xi: 0.7 * xi[0])
     cfg1 = FlowConfig(eps=eps1, ell=1.0, T_star=10.0, rtol=1e-8, max_step=0.02)
     T1 = cfg1.T_eps
@@ -105,7 +105,7 @@ def test_criterion_04_growth_exponent_laws():
     # (c) ell = 0 constant elliptic block, rate Im lam0 = 1
     eps0 = 1e-4
     field0 = SymbolField(lambda t, x, xi: xi[0] * atil, 1, 2)
-    sampler0 = make_a_star_sampler(field0, None, eps0, 0.0, [0.0], [0.0], [1.0])
+    sampler0 = make_a_star_sampler(field0, eps0, 0.0, [0.0], [0.0], [1.0])
     cfg0 = FlowConfig(eps=eps0, ell=0.0, T_star=1.0, rtol=1e-8, max_step=0.05)
     T0 = cfg0.T_eps
     res0 = integrate_symbolic_flow(sampler0, cfg0, 0.0, T0, check_flow_property=False)

@@ -25,47 +25,47 @@ def vdw_model_field(alpha=1.0, beta=1.0):
 
 def test_mu_star_trivial_and_examples():
     field = vdw_model_field()
-    assert abs(solve_mu_star(field, None, 0.1, [0.2], [1.0], 0.3)) < 1e-10
+    assert abs(solve_mu_star(field, 0.1, [0.2], [1.0], 0.3)) < 1e-10
     b = get_state("burgers1d", "elliptic")   # phi = (0.3, 0.2 + t)
-    mu = solve_mu_star(b.sys, b.phi, 0.05, [0.0], [1.0], 0.2)
+    mu = solve_mu_star(as_field(b.sys, b.phi), 0.05, [0.0], [1.0], 0.2)
     assert abs(mu - 0.3) < 1e-10             # mu* = phi1
     bk = get_state("kgz", "witness")
-    assert abs(solve_mu_star(bk.sys, bk.phi, 0.0, [0.0], [1.0], 0.05)) < 1e-9
+    assert abs(solve_mu_star(as_field(bk.sys, bk.phi), 0.0, [0.0], [1.0], 0.05)) < 1e-9
 
 
 def test_tau_star_closed_form_model():
     field = vdw_model_field(alpha=0.8, beta=1.7)
     for x in (0.0, 0.1, 0.25):
-        tau = solve_tau_star(field, None, [x], [1.0], lam_init=0.0)
+        tau = solve_tau_star(field, [x], [1.0], lam_init=0.0)
         assert abs(tau - 0.8 * x * x / 1.7) < 1e-9
 
 
 def test_tau_star_witness_and_gradient():
     b = get_state("vdw", "witness")
     field = as_field(b.sys, b.phi)
-    assert abs(solve_tau_star(field, None, [0.0], [1.0], lam_init=0.0)) < 1e-9
+    assert abs(solve_tau_star(field, [0.0], [1.0], lam_init=0.0)) < 1e-9
     # gradient of tau* vanishes at the witness (it is a minimum)
     d = 1e-3
-    tp = solve_tau_star(field, None, [d], [1.0], lam_init=0.0)
-    tm = solve_tau_star(field, None, [-d], [1.0], lam_init=0.0)
+    tp = solve_tau_star(field, [d], [1.0], lam_init=0.0)
+    tm = solve_tau_star(field, [-d], [1.0], lam_init=0.0)
     assert abs(tp - tm) / (2 * d) <= 1e-4
 
 
 def test_e_factor_values():
     # model p' = -t: P = lam^2 + t: e1 = e2 = 1
     field = SymbolField(lambda t, x, xi: xi[0] * np.array([[0.0, 1.0], [-t, 0.0]]), 1, 2)
-    e = eval_e_factor(field, None, 0.2, [0.0], [1.0], 0.0, mu=0.0, tau_star=0.0)
+    e = eval_e_factor(field, 0.2, [0.0], [1.0], 0.0, mu=0.0, tau_star=0.0)
     assert abs(e - 1.0) < 1e-8
     for name in ("vdw", "kgz"):
         b = get_state(name, "witness")
-        e = eval_e_factor(b.sys, b.phi, 0.0, [0.0], [1.0], 0.0, mu=0.0, tau_star=0.0)
+        e = eval_e_factor(as_field(b.sys, b.phi), 0.0, [0.0], [1.0], 0.0, mu=0.0, tau_star=0.0)
         assert e > 0
     # KGZ: e = P_t / (P_lamlam / 2) at the witness, jet oracle
     bk = get_state("kgz", "witness")
     from hypflow.system_model import CotangentPoint
     jet = as_field(bk.sys, bk.phi).jet(CotangentPoint([0.0], [1.0], 0.0))
     expected = np.real(jet.P_t) / (np.real(jet.P_lamlam) / 2.0)
-    e = eval_e_factor(bk.sys, bk.phi, 0.0, [0.0], [1.0], 0.0, mu=0.0, tau_star=0.0)
+    e = eval_e_factor(as_field(bk.sys, bk.phi), 0.0, [0.0], [1.0], 0.0, mu=0.0, tau_star=0.0)
     assert abs(e - expected) < 1e-6 * abs(expected)
     assert abs(expected - 4.0 / 9.0) < 1e-6
 
@@ -102,14 +102,14 @@ def test_branch_consistency_identity():
     for dt in (2e-4, 1e-3):
         t = data.tau_star + dt
         lp, _ = _branch_eigenvalues(data, t)
-        e_at = eval_e_factor(field, None, t, [0.05], [1.0], lp,
+        e_at = eval_e_factor(field, t, [0.05], [1.0], lp,
                              mu=data.mu, tau_star=data.tau_star)
         assert abs((lp - data.mu) ** 2 + (t - data.tau_star) * e_at) <= 1e-6
     resids = []
     for dt in (0.01, 0.02, 0.04):
         t = data.tau_star + dt
         lp, _ = _branch_eigenvalues(data, t)
-        e_at = eval_e_factor(field, None, t, [0.05], [1.0], lp,
+        e_at = eval_e_factor(field, t, [0.05], [1.0], lp,
                              mu=data.mu, tau_star=data.tau_star)
         resids.append(abs((lp - data.mu) ** 2 + (t - data.tau_star) * e_at))
     order = np.polyfit(np.log([0.01, 0.02, 0.04]), np.log(resids), 1)[0]
@@ -175,7 +175,7 @@ def test_newton_failure_paths():
     # dP/dlam has no zero reachable by Newton: P linear in lambda
     lin = SymbolField(lambda t, x, xi: np.array([[0.3]]), 1, 1)
     with pytest.raises(NewtonError):
-        solve_mu_star(lin, None, 0.0, [0.0], [1.0], 0.0)
+        solve_mu_star(lin, 0.0, [0.0], [1.0], 0.0)
     # degenerate quadratic part: |e2| below tolerance
     with pytest.raises(ValueError, match="degenerate quadratic"):
-        eval_e_factor(lin, None, 0.0, [0.0], [1.0], 0.0, mu=0.0, tau_star=0.0)
+        eval_e_factor(lin, 0.0, [0.0], [1.0], 0.0, mu=0.0, tau_star=0.0)

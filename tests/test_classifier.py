@@ -2,12 +2,16 @@ import numpy as np
 
 from hypflow.classifier import (ELLIPTIC, INDETERMINATE, NONSEMISIMPLE,
                                 PERSISTENT, SEMISIMPLE, SearchRegion,
-                                check_ellipticity, check_semisimple_transition,
+                                check_semisimple_transition,
                                 classify, discriminant_jet_crosscheck,
                                 scales_for_ell)
+from hypflow import system_model
 from hypflow.examples import burgers1d, get_state, van_der_waals
 from hypflow.system_model import (CotangentPoint, Domain, ReferenceSolution,
                                   SymbolField, as_field)
+
+# the single region point x = 0, xi = 1
+ORIGIN = SearchRegion(np.array([[0.0]]), np.array([[1.0]]))
 
 
 def const_phi(values, d=1, rate=None):
@@ -19,32 +23,49 @@ def const_phi(values, d=1, rate=None):
 
 def test_check_ellipticity_burgers():
     sysb = burgers1d(1.0)
-    w = check_ellipticity(sysb, const_phi((0.4, 0.3)), [0.0], [1.0])
-    assert w is not None
-    assert abs(w.lam - (0.4 + 0.3j)) < 1e-10
+    cl = classify(sysb, const_phi((0.4, 0.3)), ORIGIN)
+    assert cl.regime == ELLIPTIC
+    assert abs(cl.witness.lam - (0.4 + 0.3j)) < 1e-10
 
 
 def test_check_ellipticity_vdw_and_symmetric():
     sysv = van_der_waals()
-    w = check_ellipticity(sysv, const_phi((0.0, 0.0)), [0.0], [1.0])
-    assert w is not None and abs(w.lam - 1j) < 1e-10   # lam0 = i sqrt(-p'(0))
+    cl = classify(sysv, const_phi((0.0, 0.0)), ORIGIN)
+    assert cl.regime == ELLIPTIC and abs(cl.witness.lam - 1j) < 1e-10   # lam0 = i sqrt(-p'(0))
     sym = SymbolField(lambda t, x, xi: xi[0] * np.array([[0.3, 0.7], [0.7, 0.1]]), 1, 2)
-    assert check_ellipticity(sym, None, [0.0], [1.0]) is None
+    assert classify(sym, None, ORIGIN).regime != ELLIPTIC
+
+
+def test_classify_solves_each_region_spectrum_once(monkeypatch):
+    # both passes of classify read one spectrum per region point
+    calls = []
+    roots = system_model.aberth_roots
+
+    def counted(coeffs):
+        calls.append(1)
+        return roots(coeffs)
+
+    monkeypatch.setattr(system_model, "aberth_roots", counted)
+    b = get_state("burgers1d", "persistent")
+    cl = classify(b.sys, b.phi, b.search_region)
+    assert cl.regime == PERSISTENT
+    assert len(b.search_region.xs) * len(b.search_region.xis) == 3
+    assert len(calls) == 3
 
 
 def test_check_semisimple_burgers_cases():
     b = get_state("burgers1d", "semisimple")
     omega = CotangentPoint([0.0], [1.0], 0.0)
-    assert check_semisimple_transition(b.sys, b.phi, omega)
+    assert check_semisimple_transition(as_field(b.sys, b.phi), omega)
     sys0 = burgers1d(1.0, (0.0, 0.0))
-    assert not check_semisimple_transition(sys0, const_phi((0.0, 0.0), rate=(0.0, 0.0)),
-                                           omega)
+    assert not check_semisimple_transition(
+        as_field(sys0, const_phi((0.0, 0.0), rate=(0.0, 0.0))), omega)
 
 
 def test_check_semisimple_burgers2d():
     b = get_state("burgers2d", "semisimple")
     omega = CotangentPoint([0.0, 0.0], [1.0, 0.0], 0.2)
-    assert check_semisimple_transition(b.sys, b.phi, omega)
+    assert check_semisimple_transition(as_field(b.sys, b.phi), omega)
 
 
 def test_classify_registry_table():
@@ -128,6 +149,6 @@ def test_exnot_indeterminate_at_origin():
     # so the jet at the origin is too degenerate to decide
     field = SymbolField(lambda t, x, xi: xi[0] * np.array(
         [[0.0, 1.0], [x[0] ** 2 * t - t * t, 0.0]]), 1, 2)
-    region = SearchRegion.grid_1d([0.0, 0.3, -0.3])
+    region = SearchRegion(np.array([[0.0], [0.3], [-0.3]]), np.array([[1.0]]))
     cl = classify(field, None, region)
     assert cl.regime == INDETERMINATE

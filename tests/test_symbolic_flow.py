@@ -74,7 +74,7 @@ def test_assemble_a_star_elliptic_constant():
     a_const = np.array([[0.0, 1.0], [-1.0, 0.0]])
     field = SymbolField(lambda t, x, xi: xi[0] * a_const, 1, 2)
     for t in (0.0, 3.0):
-        a = assemble_A_star(field, None, None, None, 1e-3, t, [0.1], [1.0],
+        a = assemble_A_star(field, None, None, 1e-3, t, [0.1], [1.0],
                             [0.0], 0.0)
         assert np.allclose(a, a_const)
 
@@ -86,7 +86,7 @@ def test_assemble_a_star_vdw_block_structure():
     eps = 1e-4
     data = compute_branch_data(field, None, [0.0], [1.0], lam_init=0.0)
     for t in (0.5, 2.0):
-        a = assemble_A_star(field, None, None, lambda tt, x, xi: 0.0,
+        a = assemble_A_star(field, None, lambda tt, x, xi: 0.0,
                             eps, t, [0.3], [1.0], [0.0], 0.5)
         scaled = eps ** (-1.0 / 3.0) * a
         assert abs(scaled[0, 1] - eps ** (-1.0 / 3.0)) < 1e-10
@@ -102,7 +102,7 @@ def test_assemble_a_star_semisimple_cancellation():
                                                   + 0.5 * t ** 2 * np.eye(2)), 1, 2)
     eps = 1e-6
     for t in (1.0, 3.0):
-        a = assemble_A_star(field, None, None, lambda tt, x, xi: 0.7 * xi[0],
+        a = assemble_A_star(field, None, lambda tt, x, xi: 0.7 * xi[0],
                             eps, t, [0.0], [1.0], [0.0], 1.0)
         lead = eps ** (-0.5) * a
         assert np.max(np.abs(lead - t * atil)) <= 1.0 * eps ** 0.5 * t ** 2
@@ -182,7 +182,7 @@ def test_ell_one_quadratic_exponent():
     eps = 1e-6
     atil = np.array([[0.0, 1.0], [-1.0, 0.0]])
     field = SymbolField(lambda t, x, xi: xi[0] * (0.3 * np.eye(2) + t * atil), 1, 2)
-    sampler = make_a_star_sampler(field, None, eps, 1.0, [0.0], [0.0], [1.0],
+    sampler = make_a_star_sampler(field, eps, 1.0, [0.0], [0.0], [1.0],
                                   mu=lambda t, x, xi: 0.3 * xi[0])
     cfg = FlowConfig(eps=eps, ell=1.0, T_star=30.0, rtol=1e-8, max_step=0.02)
     T = cfg.T_eps
@@ -259,7 +259,7 @@ def test_vdw_flow_matches_airy_end_to_end():
     data = compute_branch_data(field, None, [y], [1.0], lam_init=0.0)
     f0 = data.f0
     t_star = eps ** (-2.0 / 3.0) * max(data.tau_star, 0.0)
-    sampler = make_a_star_sampler(field, None, eps, 0.5, [0.0], [x], [1.0],
+    sampler = make_a_star_sampler(field, eps, 0.5, [0.0], [x], [1.0],
                                   mu=lambda t, xs, xi: 0.0)
     cfg = FlowConfig(eps=eps, ell=0.5, T_star=2.0, rtol=1e-9, max_step=0.01)
     t_end = 3.0
