@@ -640,7 +640,7 @@ def _stepped_synthesis(a1: Callable, uh: np.ndarray, ks: np.ndarray, grid: Grid1
     """
     nc = min(128, grid.n)
     xc = Grid1D(nc, grid.length, x_left=grid.x_left).nodes
-    scale = pref * grid.freqs[ks]
+    scale = -pref * grid.freqs[ks]                                      # S' = scale a1 S
     s = np.ascontiguousarray(np.broadcast_to(
         uh[ks].T, (nc, uh.shape[1], ks.size)), dtype=complex)          # (nc, N, modes)
     s, _, _ = _adaptive_rk4(lambda t: _ModeGenerator(scale, a1(t, xc)), s, 0.0, t_end,

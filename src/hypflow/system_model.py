@@ -250,60 +250,11 @@ def charpoly_coeffs(a: np.ndarray) -> np.ndarray:
     return c
 
 
-def aberth_roots(coeffs: np.ndarray) -> np.ndarray:
-    """All roots of a polynomial (ascending coefficients) by Aberth-Ehrlich.
-
-    Falls back to the companion-matrix QR solver (numpy.roots) when the
-    simultaneous iteration stalls, which happens at multiple roots.  Raises
-    RuntimeError with the residuals when neither route converges.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    while c.size > 1 and c[-1] == 0:
-        c = c[:-1]
-    n = c.size - 1
-    if n < 1:
-        return np.zeros(0, dtype=complex)
-    c = c / c[-1]
-    if n == 1:
-        return np.array([-c[0]])
-    dc = np.arange(1, n + 1) * c[1:]
-    radius = 1.0 + np.max(np.abs(c[:-1]))
-    k = np.arange(n)
-    z = radius * np.exp(2j * np.pi * (k + 0.35) / n)
-    scale = max(1.0, np.max(np.abs(c)))
-    converged = False
-    for _ in range(200):
-        p = npoly.polyval(z, c)
-        dp = npoly.polyval(z, dc)
-        newton = np.where(dp != 0, p / np.where(dp == 0, 1, dp), 0.0)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - newton * s
-        step = newton / np.where(denom == 0, 1, denom)
-        z = z - step
-        if np.max(np.abs(step)) <= 1e-13 * (1.0 + np.max(np.abs(z))):
-            converged = True
-            break
-    resid = np.abs(npoly.polyval(z, c))
-    if not converged or np.max(resid) > 1e-8 * scale * (1 + np.max(np.abs(z)) ** n):
-        z = np.roots(c[::-1])
-        resid = np.abs(npoly.polyval(z, c))
-        if np.max(resid) > 1e-6 * scale * (1 + np.max(np.abs(z)) ** n):
-            raise RuntimeError(f"polynomial root finding failed, residuals {resid}")
-    return z
-
-
-def sort_spectrum(vals: np.ndarray) -> np.ndarray:
-    """Deterministic eigenvalue order: lexicographic by (real, imag)."""
-    vals = np.asarray(vals, dtype=complex)
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
-
-
 def spectrum(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues with multiplicity, Aberth-Ehrlich on the characteristic coefficients."""
-    return sort_spectrum(aberth_roots(charpoly_coeffs(np.asarray(a))))
+    """Eigenvalues with multiplicity (LAPACK, `np.linalg.eigvals`) in a
+    deterministic order: lexicographic by (real, imag)."""
+    vals = np.asarray(np.linalg.eigvals(a), dtype=complex)
+    return vals[np.lexsort((vals.imag, vals.real))]
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +286,7 @@ class _BaseField:
         return charpoly_coeffs(self.symbol(t, x, xi))
 
     def spectrum_at(self, t: float, x, xi) -> np.ndarray:
-        return sort_spectrum(aberth_roots(self.coeffs(t, x, xi)))
+        return spectrum(self.symbol(t, x, xi))
 
     def jet(self, omega: CotangentPoint) -> CharPolyJet:
         """Six-entry jet of P at (t, omega), t = 0.

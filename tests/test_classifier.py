@@ -39,13 +39,13 @@ def test_check_ellipticity_vdw_and_symmetric():
 def test_classify_solves_each_region_spectrum_once(monkeypatch):
     # both passes of classify read one spectrum per region point
     calls = []
-    roots = system_model.aberth_roots
+    spectrum = system_model.spectrum
 
-    def counted(coeffs):
+    def counted(a):
         calls.append(1)
-        return roots(coeffs)
+        return spectrum(a)
 
-    monkeypatch.setattr(system_model, "aberth_roots", counted)
+    monkeypatch.setattr(system_model, "spectrum", counted)
     b = get_state("burgers1d", "persistent")
     cl = classify(b.sys, b.phi, b.search_region)
     assert cl.regime == PERSISTENT

@@ -17,7 +17,6 @@ EXEMPT = {
     "conjugated_flow_compare": "acceptance criterion 3 calls it",
     "make_a_star_sampler": "acceptance criterion 4 builds the advected symbol with it",
     "discriminant_jet_crosscheck": "acceptance criterion 7 calls it",
-    "spectrum": "acceptance criterion 11 checks its conjugate pairs",
     "load_grid_function": "the README names it as the reader of --dump-states files",
     "block_reduce_2x2": "step 3 of the flow route to a registry growth rate calls it",
 }

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from hypflow.airy import model_block_sampler, vector_airy
-from hypflow.branching import GrowthEnvelope, compute_branch_data
+from hypflow.branching import GrowthEnvelope, compute_branch_data, eval_growth
 from hypflow.examples import get_state
-from hypflow.symbolic_flow import (FlowConfig, block_reduce_2x2,
-                                   assemble_A_star, integrate_symbolic_flow,
-                                   ladder_fit, make_a_star_sampler,
-                                   verify_lower_bound, verify_upper_bound)
+from hypflow.pde_sim import _ModeGenerator
+from hypflow.symbolic_flow import (FlowConfig, _adaptive_rk4, _block_weights,
+                                   block_reduce_2x2, assemble_A_star,
+                                   integrate_symbolic_flow, ladder_fit,
+                                   make_a_star_sampler, verify_lower_bound,
+                                   verify_upper_bound)
 from hypflow.system_model import SymbolField, as_field
 
 
@@ -159,6 +161,82 @@ def test_flow_composition_and_liouville_random():
         assert np.max(np.abs(res.samples[0] - np.eye(2))) == 0.0
 
 
+def _textbook_step_doubling(g, s, t0, t1, rtol, max_step, min_step):
+    """S' = -g(t) S by classical RK4 with step doubling: a step of dt against
+    two of dt/2, accepting s_two + (s_two - s_one)/15 when the local error
+    passes, with the step controller of `_adaptive_rk4`.  Returns (s,
+    accepted steps, rejected steps)."""
+    def rk4(s, dt, g0, gm, g1):
+        k1 = -(g0 @ s)
+        k2 = -(gm @ (s + dt / 2 * k1))
+        k3 = -(gm @ (s + dt / 2 * k2))
+        k4 = -(g1 @ (s + dt * k3))
+        return s + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    t, n_steps, n_rej = t0, 0, 0
+    dt = min(max_step, max((t1 - t0) / 16.0, min_step))
+    while t < t1 - 1e-15 * max(1.0, abs(t1)):
+        dt = min(dt, t1 - t)
+        g0, gq, gm, g3, g1 = (g(t + f * dt) for f in (0.0, 0.25, 0.5, 0.75, 1.0))
+        s_one = rk4(s, dt, g0, gm, g1)
+        s_two = rk4(rk4(s, dt / 2, g0, gq, gm), dt / 2, gm, g3, g1)
+        scale = max(1.0, float(np.max(np.abs(s_two))))
+        err = float(np.max(np.abs(s_two - s_one))) / scale
+        tol = rtol + 1e-13 / scale
+        if err <= tol:
+            s, t, n_steps = s_two + (s_two - s_one) / 15, t + dt, n_steps + 1
+        else:
+            n_rej += 1
+        fac = 0.9 * (tol / err) ** 0.2 if err > 0 else 4.0
+        dt = min(max_step, max(min_step, dt * min(4.0, max(0.1, fac))))
+    return s, n_steps, n_rej
+
+
+def test_adaptive_rk4_matches_textbook_step_doubling():
+    # the stepper integrates S' = M S; fed M = -G it must reproduce the
+    # textbook S' = -G S bit for bit, rejected steps included
+    rng = np.random.default_rng(31)
+    c = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+
+    def g(t):
+        return 4.0 * (c[0] + t * c[1] + np.sin(5.0 * t) * c[2])
+
+    scale = 1j * np.array([0.5, 2.0, 7.0])
+    a = rng.normal(size=(2, 4, 2, 2))
+    s_modes = rng.normal(size=(4, 2, 3)) + 1j * rng.normal(size=(4, 2, 3))
+
+    def modes(scale):
+        return lambda t: _ModeGenerator(scale, a[0] + np.cos(3.0 * t) * a[1])
+
+    cases = [(g, lambda t: -g(t), np.eye(2, dtype=complex)),
+             (modes(scale), modes(-scale), s_modes)]
+    for minus_gen, gen, s0 in cases:
+        want = _textbook_step_doubling(minus_gen, s0, 0.0, 2.0, 1e-9, 0.5, 1e-12)
+        got = _adaptive_rk4(gen, s0, 0.0, 2.0, 1e-9, 0.5, 1e-12, lambda *step: None)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+        assert got[2] > 0
+
+
+def test_adaptive_rk4_makes_eleven_products_per_attempt():
+    # the full step and the first half step share their first slope
+    products = []
+
+    class Counted:
+        def __init__(self, m):
+            self.m = m
+
+        def __matmul__(self, s):
+            products.append(1)
+            return self.m @ s
+
+    g = np.array([[0.0, 30.0], [-30.0, 1.0]], dtype=complex)
+    _, n_steps, n_rej = _adaptive_rk4(lambda t: Counted((1.0 + t) * g),
+                                      np.eye(2, dtype=complex), 0.0, 1.0, 1e-10,
+                                      0.5, 1e-12, lambda *step: None)
+    assert n_rej > 0
+    assert len(products) == 11 * (n_steps + n_rej)
+
+
 def test_trace_free_block_unimodular():
     cfg = FlowConfig(eps=1e-3, ell=0.5, T_star=2.0, rtol=1e-9, max_step=0.01)
     res = integrate_symbolic_flow(model_block_sampler(1e-3, 1.0, 0.0), cfg, 0.0, 2.0)
@@ -215,6 +293,23 @@ def test_envelope_sandwich_on_models():
                                  eps, 1.0 / 3.0, T)
         assert np.isfinite(up.max_ratio) and up.max_ratio < 50.0
         assert low.min_ratio > 0.05
+
+
+def test_upper_bound_equals_per_sample_loop():
+    rng = np.random.default_rng(23)
+    a0 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    a1 = rng.normal(size=(2, 2))
+    cfg = FlowConfig(eps=1e-2, ell=0.5, T_star=1.0, max_step=0.05)
+    res = integrate_symbolic_flow(lambda t: a0 + t * a1, cfg, 0.2, 1.5,
+                                  check_flow_property=False)
+    env = GrowthEnvelope(0.3, 0.4, 0.5, 0.6)
+    w = _block_weights(2, res.zeta, res.eps)
+    worst = 0.0
+    for t, s in zip(res.times, res.samples):
+        e = eval_growth(env, "plus", res.tau, float(t))
+        worst = max(worst, float(np.max(np.abs(s) / (w * e))))
+    assert res.times.size > 10 and worst > 0.0
+    assert verify_upper_bound(res, env).max_ratio == worst
 
 
 def test_envelope_sanity_inversion_detected():

@@ -4,7 +4,7 @@ import pytest
 from hypflow.examples import burgers1d, kgz, van_der_waals
 from hypflow.system_model import (CotangentPoint, Domain,
                                   ReferenceSolution, TaylorExtendedSolution,
-                                  aberth_roots, as_field, charpoly_coeffs,
+                                  as_field, charpoly_coeffs,
                                   eval_principal_symbol, spectrum)
 
 
@@ -88,17 +88,11 @@ def test_spectrum_basic_and_examples():
     sysk = kgz(0.0, 0.5)
     ev = eval_principal_symbol(sysk, const_phi((0.1, 0.2, 0.0, 0.0)), 0.0, [0.0], [1.0])
     assert np.allclose(spectrum(ev), [-1.0, -0.5, 0.5, 1.0], atol=1e-10)
-
-
-def test_aberth_matches_companion_qr():
-    rng = np.random.default_rng(3)
-    for _ in range(40):
-        n = rng.integers(2, 8)
-        coeffs = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-        coeffs[-1] = 1.0
-        r1 = np.sort_complex(aberth_roots(coeffs))
-        r2 = np.sort_complex(np.roots(coeffs[::-1]))
-        assert np.max(np.abs(r1 - r2)) < 1e-7 * (1 + np.max(np.abs(r2)))
+    # double eigenvalues: a Jordan block and a multiple of the identity
+    for a, lam in ((np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0), (2.0 * np.eye(2), 2.0)):
+        vals = spectrum(a)
+        assert vals.shape == (2,) and np.allclose(vals, lam, atol=1e-12)
+        assert np.max(np.abs(vals.imag)) <= 1e-7
 
 
 def test_hyperbolicity():

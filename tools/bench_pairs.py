@@ -3,15 +3,18 @@
     python3 tools/bench_pairs.py PARENT CHANGE --workload free --pairs 10 --seconds 20
 
 PARENT and CHANGE are two checkouts of the repository.  Each pair runs
-`perfbench/run.py --seed 0 --trace 0` once in each, one after the other: the
-parent first in even pairs, the change first in odd ones.  The runs get
-PYTHONDONTWRITEBYTECODE=1, and any `__pycache__` under the checkouts' `src/`
-and `perfbench/` is removed first, so every run compiles the modules it
-imports, as a fresh checkout does.  Two lines of perfbench's output are read:
+`perfbench/run.py --seed SEED --trace 0` (`--seed`, default 0) once in
+each, one after the other: the parent first in even pairs, the change first
+in odd ones.  The runs get PYTHONDONTWRITEBYTECODE=1, and any `__pycache__`
+under the checkouts' `src/` and `perfbench/` is removed first, so every run
+compiles the modules it imports, as a fresh checkout does.  Two lines of perfbench's output are read:
 the last, the end-to-end metrics, and the `physics` line.  Every pair is
 printed; then, per metric, both medians, the parent's quartiles and how many
 pairs the change read lower; and last whether the two physics lines were
-byte-identical in every pair, or else the first key that differs.
+byte-identical in every pair, or else, for the first pair that differs, the
+largest relative difference over the numeric leaves, with its key and both
+values, and every non-numeric difference (a changed string, flag or None, a
+missing key, a list of another length).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import sys
 from pathlib import Path
 
 
-def run_once(root: Path, workload: str, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seconds: float, seed: int) -> dict:
     """One perfbench run in checkout `root`; returns its last output line,
     with its physics line, as printed, under "physics"."""
     for sub in ("src", "perfbench"):
@@ -35,7 +38,7 @@ def run_once(root: Path, workload: str, seconds: float) -> dict:
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", "0", "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=root, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     physics = [line for line in lines if line.startswith("physics ")]
@@ -45,24 +48,38 @@ def run_once(root: Path, workload: str, seconds: float) -> dict:
     return {**json.loads(lines[-1]), "physics": physics[0]}
 
 
-def first_difference(old, new, path: str = "physics"):
-    """Path of the first differing value of two parsed physics records, keys
-    in sorted order; None if they print the same."""
-    if json.dumps(old, sort_keys=True) == json.dumps(new, sort_keys=True):
-        return None
+def differences(old, new, path: str = "physics"):
+    """(path, old, new) for every differing leaf of two parsed physics
+    records, keys in sorted order; a key present on one side only, or lists
+    of different lengths, count as one difference at their path."""
     if isinstance(old, dict) and isinstance(new, dict):
         for key in sorted(old.keys() | new.keys()):
             if key not in old or key not in new:
-                return f"{path}.{key}"
-            found = first_difference(old[key], new[key], f"{path}.{key}")
-            if found:
-                return found
-    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+                yield f"{path}.{key}", old.get(key, "<absent>"), new.get(key, "<absent>")
+            else:
+                yield from differences(old[key], new[key], f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         for i, (a, b) in enumerate(zip(old, new)):
-            found = first_difference(a, b, f"{path}[{i}]")
-            if found:
-                return found
-    return path
+            yield from differences(a, b, f"{path}[{i}]")
+    elif json.dumps(old) != json.dumps(new):
+        yield path, old, new
+
+
+def describe_differences(old, new) -> list[str]:
+    """Lines naming the largest relative difference |a - b| / max(|a|, |b|)
+    over the numeric leaves, and every non-numeric difference."""
+    numeric, other = [], []
+    for path, a, b in differences(old, new):
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+            numeric.append((abs(a - b) / max(abs(a), abs(b)), path, a, b))
+        else:
+            other.append(f"{path}: {json.dumps(a)} -> {json.dumps(b)}")
+    lines = []
+    if numeric:
+        rel, path, a, b = max(numeric, key=lambda d: d[0])
+        lines.append(f"{len(numeric)} numeric leaves differ; the largest relative "
+                     f"difference is {rel:.3g} at {path}: {a!r} -> {b!r}")
+    return lines + other
 
 
 def main(argv=None) -> int:
@@ -72,6 +89,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -83,7 +101,8 @@ def main(argv=None) -> int:
     results = []
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {side: run_once(sides[side], args.workload, args.seconds) for side in order}
+        pair = {side: run_once(sides[side], args.workload, args.seconds, args.seed)
+                for side in order}
         results.append(pair)
         cells = [f"{name} {pair['parent']['metrics'][name]['value']:.4g} / "
                  f"{pair['change']['metrics'][name]['value']:.4g}"
@@ -92,7 +111,7 @@ def main(argv=None) -> int:
         print(f"pair {i + 1} ({order[0]} first): " + ", ".join(cells) + f", {fails}",
               flush=True)
 
-    print(f"{args.workload}, {args.pairs} pairs, parent / change:")
+    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs, parent / change:")
     for name, meta in results[0]["parent"]["metrics"].items():
         old = [r["parent"]["metrics"][name]["value"] for r in results]
         new = [r["change"]["metrics"][name]["value"] for r in results]
@@ -109,7 +128,9 @@ def main(argv=None) -> int:
         old, new = (json.loads(results[differ[0]][side]["physics"][len("physics "):])
                     for side in ("parent", "change"))
         print(f"  physics: differs in {len(differ)} of {len(results)} pairs; in pair "
-              f"{differ[0] + 1} first at {first_difference(old, new)}")
+              f"{differ[0] + 1}:")
+        for line in describe_differences(old, new):
+            print(f"    {line}")
     return 0
 
 
