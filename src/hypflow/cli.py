@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, airy, branching, examples, pde_sim, semiclassical
 from . import symbolic_flow as sflow
 from .branching import GrowthEnvelope, compute_branch_data, growth_rate
-from .classifier import PERSISTENT, SEMISIMPLE, classify
+from .classifier import classify
 from .semiclassical import Grid1D, GridFunction
 
 EXIT_OK = 0
@@ -109,26 +109,19 @@ def _write_csv(path: str, header_lines, columns, rows) -> None:
 
 
 def _bundle_from_args(args):
-    """The state that --example, --state (default 'witness') and the system
-    parameters name.  --F2 builds its own burgers1d state, so it refuses
-    another example, a --state and the system parameters."""
-    params = {k: getattr(args, k) for k in ("alpha", "c") if getattr(args, k) is not None}
-    if args.F2 is not None and (args.example != "burgers1d" or args.state is not None
-                                or params):
-        raise ConfigError("--F2 sets the source of its own burgers1d state: it takes "
-                          "--example burgers1d and no --state, --alpha or --c")
-    args.state = "witness" if args.state is None else args.state
-    if args.F2 is not None:
-        sysb = examples.burgers1d(1.0, (0.0, args.F2))
-        phi, vec = examples.constant_reference((0.0, 0.0), dvalues_dt=(0.0, args.F2))
-        expected = SEMISIMPLE if args.F2 != 0 else PERSISTENT
-        return examples.StateBundle(sysb, phi, expected, np.zeros(1), np.ones(1),
-                                    examples.REGION_1D, vec,
-                                    e_vec=np.array([1j, 1.0]) / np.sqrt(2))
+    """The state that --example, --state and the system parameters name."""
+    params = {k: getattr(args, k) for k in ("alpha", "c", "F2")
+              if getattr(args, k) is not None}
     try:
         return examples.get_state(args.example, args.state, **params)
     except (KeyError, ValueError) as exc:       # unknown name, or kgz |c| = 1
         raise ConfigError(exc.args[0]) from exc
+
+
+def _classified(args):
+    """The named state and its classification."""
+    bundle = _bundle_from_args(args)
+    return bundle, classify(bundle.sys, bundle.phi, bundle.search_region, tol=args.tol)
 
 
 def _branch_data(bundle, cl):
@@ -153,24 +146,26 @@ def cmd_list_examples(args) -> int:
     return EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    bundle = _bundle_from_args(args)
-    cl = classify(bundle.sys, bundle.phi, bundle.search_region, tol=args.tol)
-    print(f"regime: {cl.regime}" + (f" (ell = {cl.ell})" if cl.ell is not None else ""))
-    report = cl.to_json(indent=2)
+def _report(args, command: str, text: str) -> int:
+    """`text` to <command>_<example>_<state>.json in --out; with no --out, to stdout."""
     if args.out:
-        path = _out_path(args, f"classify_{args.example}_{args.state}.json")
+        path = _out_path(args, f"{command}_{args.example}_{args.state}.json")
         with open(path, "w") as f:
-            f.write(report + "\n")
+            f.write(text + "\n")
         print(f"report written to {path}")
     else:
-        print(report)
+        print(text)
     return EXIT_OK
 
 
+def cmd_classify(args) -> int:
+    _, cl = _classified(args)
+    print(f"regime: {cl.regime}" + (f" (ell = {cl.ell})" if cl.ell is not None else ""))
+    return _report(args, "classify", cl.to_json(indent=2))
+
+
 def cmd_branch(args) -> int:
-    bundle = _bundle_from_args(args)
-    cl = classify(bundle.sys, bundle.phi, bundle.search_region, tol=args.tol)
+    bundle, cl = _classified(args)
     if cl.witness is None:
         print(f"regime {cl.regime}: no branching data")
         return EXIT_OK
@@ -182,15 +177,7 @@ def cmd_branch(args) -> int:
         out["gamma_minus"], out["gamma_plus"] = growth_rate(cl, data)
     except ValueError as exc:
         out["gamma_note"] = str(exc)
-    text = json.dumps(out, sort_keys=True, indent=2, default=str)
-    if args.out:
-        path = _out_path(args, f"branch_{args.example}_{args.state}.json")
-        with open(path, "w") as f:
-            f.write(text + "\n")
-        print(f"report written to {path}")
-    else:
-        print(text)
-    return EXIT_OK
+    return _report(args, "branch", json.dumps(out, sort_keys=True, indent=2, default=str))
 
 
 def cmd_airy(args) -> int:
@@ -308,19 +295,13 @@ def cmd_quantize_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    bundle = _bundle_from_args(args)
     ladder = _parse_ladder(args.eps_ladder)
+    bundle, cl = _classified(args)
     control = args.control
-    if control:
-        target = examples.get_state("symmetric-control", "default")
-    else:
-        target = bundle
-    cl = classify(bundle.sys, bundle.phi, bundle.search_region, tol=args.tol)
-    gamma = bundle.gamma_minus
-    if gamma is None:
-        if cl.witness is None:
-            raise ConfigError(f"regime {cl.regime}: no growth rate to measure against")
-        gamma = growth_rate(cl, _branch_data(bundle, cl))[0]
+    target = examples.get_state("symmetric-control", "default") if control else bundle
+    if cl.witness is None:
+        raise ConfigError(f"regime {cl.regime}: no growth rate to measure against")
+    gamma = growth_rate(cl, _branch_data(bundle, cl))[0]
     h = cl.h if cl.h is not None else 0.5
     try:
         params = pde_sim.HadamardParams(
@@ -379,14 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--tol", type=float, default=1e-8,
                             help="classification equality tolerance")
             sp.add_argument("--example", required=True)
-            sp.add_argument("--state", default=None, help="registry state (default: witness)")
+            sp.add_argument("--state", default="witness",
+                            help="registry state (default: witness)")
             sp.add_argument("--alpha", type=float, default=None,
                             help="system parameter alpha (kgz only)")
             sp.add_argument("--c", type=float, default=None,
                             help="system parameter c (kgz only)")
             sp.add_argument("--F2", type=float, default=None,
-                            help="burgers1d source second component (own state: no --state, "
-                            "--alpha or --c)")
+                            help="source second component (burgers1d only)")
 
     sp = sub.add_parser("list-examples", help="list registered systems and states")
     sp.set_defaults(func=cmd_list_examples)
@@ -440,61 +421,45 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config_options(parser, command: str) -> dict:
-    """Options of `command` that a config key may set, keyed by dest and by
-    each option string, dashes read as underscores."""
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction)).choices[command]
-    out = {}
+def _config_defaults(sub, command: str, cfg: dict) -> dict:
+    """The config values as defaults of `sub`, the parser of `command`, keyed
+    by dest.  A key names an option by its dest or any option string, dashes
+    read as underscores; only its last dotted component counts.  Each value
+    takes its option's type."""
+    options = {}
     for action in sub._actions:
-        if not action.option_strings or action.dest in ("help", "config"):
-            continue
-        out[action.dest] = action
-        for opt in action.option_strings:
-            out[opt.lstrip("-").replace("-", "_")] = action
+        if action.option_strings and action.dest not in ("help", "config"):
+            for name in (action.dest, *action.option_strings):
+                options[name.lstrip("-").replace("-", "_")] = action
+    out = {}
+    for key, val in cfg.items():
+        action = options.get(key.split(".")[-1].replace("-", "_"))
+        if action is None:
+            raise ConfigError(f"{key!r} names no option of {command}")
+        caster = _config_bool if isinstance(action, argparse._StoreTrueAction) \
+            else action.type or str
+        try:
+            out[action.dest] = caster(val)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key}: {exc}") from None
     return out
-
-
-def _explicit_dests(argv) -> set[str]:
-    """Destinations given on the command line, however spelled: `argv`
-    parsed again with every default suppressed."""
-    parser = build_parser()
-    parsers = [parser]
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            parsers += action.choices.values()
-    for p in parsers:
-        for action in p._actions:
-            action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
+        # config values become the command's defaults, so a flag given on the
+        # command line wins however it is spelled
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices[args.command]
         try:
-            cfg = _load_config_file(args.config)
+            sub.set_defaults(**_config_defaults(sub, args.command,
+                                                _load_config_file(args.config)))
         except (OSError, ConfigError, json.JSONDecodeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        explicit = _explicit_dests(argv)
-        options = _config_options(parser, args.command)
-        for key, val in cfg.items():
-            action = options.get(key.split(".")[-1].replace("-", "_"))
-            if action is None:
-                print(f"config error: {key!r} names no option of {args.command}",
-                      file=sys.stderr)
-                return EXIT_CONFIG
-            if action.dest in explicit:
-                continue
-            caster = _config_bool if isinstance(action, argparse._StoreTrueAction) \
-                else action.type or str
-            try:
-                setattr(args, action.dest, caster(val))
-            except (TypeError, ValueError) as exc:
-                print(f"config error for {key}: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -161,17 +161,18 @@ def constant_reference(values, dvalues_dt=None):
 REGION_1D = SearchRegion(np.array([[0.0], [0.5], [-0.5]]), np.array([[1.0]]))
 
 
-def _burgers_states():
+def _burgers_states(F2):
+    """The source (0, F2) of `elliptic` and `semisimple` decides the transition
+    at the origin: semisimple for F2 != 0, persistent hyperbolicity at F2 = 0."""
     states = {}
-    sys_f01 = burgers1d(1.0, (0.0, 1.0))
-    phi, vec = constant_reference((0.3, 0.2), dvalues_dt=(0.0, 1.0))
-    states["elliptic"] = StateBundle(sys_f01, phi, ELLIPTIC, np.zeros(1), np.ones(1),
+    sys_f = burgers1d(1.0, (0.0, F2))
+    phi, vec = constant_reference((0.3, 0.2), dvalues_dt=(0.0, F2))
+    states["elliptic"] = StateBundle(sys_f, phi, ELLIPTIC, np.zeros(1), np.ones(1),
                                      REGION_1D, vec, e_vec=np.array([1j, 1.0]) / np.sqrt(2))
-    phi, vec = constant_reference((0.0, 0.0), dvalues_dt=(0.0, 1.0))
-    states["semisimple"] = StateBundle(sys_f01, phi, SEMISIMPLE, np.zeros(1), np.ones(1),
-                                       REGION_1D, vec,
-                                       e_vec=np.array([1j, 1.0]) / np.sqrt(2),
-                                       gamma_minus=0.5)
+    phi, vec = constant_reference((0.0, 0.0), dvalues_dt=(0.0, F2))
+    states["semisimple"] = StateBundle(sys_f, phi, SEMISIMPLE if F2 != 0 else PERSISTENT,
+                                       np.zeros(1), np.ones(1), REGION_1D, vec,
+                                       e_vec=np.array([1j, 1.0]) / np.sqrt(2))
     sys_f0 = burgers1d(1.0, (0.0, 0.0))
     phi, vec = constant_reference((0.3, 0.0))
     states["persistent"] = StateBundle(sys_f0, phi, PERSISTENT, np.zeros(1), np.ones(1),
@@ -268,7 +269,8 @@ class ExampleRegistryEntry:
 
 REGISTRY = {
     "burgers1d": ExampleRegistryEntry(
-        "2x2 Burgers family [[u1,-b^2 u2],[u2,u1]]", _burgers_states),
+        "2x2 Burgers family [[u1,-b^2 u2],[u2,u1]]", _burgers_states,
+        default_params={"F2": 1.0}),
     "burgers2d": ExampleRegistryEntry(
         "two-dimensional Burgers family (classification only)", _burgers2d_states,
         symbol_only=True),

@@ -428,8 +428,10 @@ def run_instability_experiment(sys: SystemSpec, phi, classification,
     vector), evolves to eps^h T(eps), and reports the Hoelder ratio, the fitted
     packet growth exponent, and breakdowns (which count as instability
     findings, not failures).  The box must be a period of phi(0), else
-    BoxLengthError.  `control=True` runs a stable system through the
-    identical pipeline, borrowing the scales in `params`.  The grid has the
+    BoxLengthError.  Without `phi_traj_vec`, phi is evolved on the grid, and
+    an observation past that reference run's breakdown is a RuntimeError.
+    `control=True` runs a stable system through the identical pipeline,
+    borrowing the scales in `params`.  The grid has the
     fewest nodes, an even 2^a 3^b 5^c count (at least 16), that give the
     carrier at least 8 nodes per oscillation and the observation ball at least
     16 nodes; the filter has order 8, and the observer samples at the 60
@@ -484,6 +486,10 @@ def run_instability_experiment(sys: SystemSpec, phi, classification,
             phi_traj = evolve(sys, GridFunction(grid, phi0.T), cfg)
 
             def phi_at(t):
+                stop = phi_traj.breakdown
+                if stop is not None and t > stop.time:
+                    raise RuntimeError(f"the reference run broke down ({stop.reason}) at "
+                                       f"t = {stop.time:.6g}, before t = {t:.6g}")
                 idx = int(np.argmin(np.abs(phi_traj.times - t)))
                 return phi_traj.states[idx]
 

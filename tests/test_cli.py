@@ -1,13 +1,15 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from hypflow import pde_sim
 from hypflow.branching import growth_rate
 from hypflow.classifier import classify
-from hypflow.cli import EXIT_BREAKDOWN, EXIT_CONFIG, EXIT_OK, main
-from hypflow.examples import REGION_1D, burgers1d, constant_reference
-from hypflow.system_model import as_field
+from hypflow.cli import (EXIT_BREAKDOWN, EXIT_CONFIG, EXIT_OK, _bundle_from_args,
+                         build_parser, main)
+from hypflow.examples import get_state
 
 
 def run(argv, capsys):
@@ -34,37 +36,39 @@ def test_classify_commands(capsys, tmp_path):
                         "--c", "0.5", "--state", "witness"], capsys)
     assert code == EXIT_OK and "NonSemisimpleTransition" in out
 
-    code, out, _ = run(["classify", "--example", "burgers1d", "--F2", "0"], capsys)
+    code, out, _ = run(["classify", "--example", "burgers1d", "--state", "semisimple",
+                        "--F2", "0"], capsys)
     assert code == EXIT_OK and "HyperbolicPersistent" in out
 
 
 def test_F2_with_another_example_is_config_error(capsys):
-    # --F2 builds a burgers1d state; vdw used to run with it silently unused
+    # F2 is a burgers1d parameter; vdw used to run with it silently unused
     code, _, err = run(["classify", "--example", "vdw", "--state", "elliptic",
                         "--F2", "5"], capsys)
-    assert code == EXIT_CONFIG and "--F2" in err
+    assert code == EXIT_CONFIG and "takes no parameter F2" in err
 
 
 def test_F2_with_a_state_is_config_error(capsys, tmp_path):
-    # the --F2 state used to stand in for any --state, even an unknown one
+    # the --F2 state used to stand in for any --state, even an unknown one;
+    # F2 now sets a parameter of the registry states, so the name is checked
     code, _, err = run(["classify", "--example", "burgers1d", "--F2", "1",
                         "--state", "nonesuch", "--out", str(tmp_path)], capsys)
-    assert code == EXIT_CONFIG and "--F2" in err
+    assert code == EXIT_CONFIG and "nonesuch" in err
     assert not list(tmp_path.iterdir())
 
 
 def test_parameter_the_example_does_not_take_is_config_error(capsys):
-    # only kgz takes --alpha and --c; the others used to run with them unused,
-    # vdw printing the unchanged Elliptic result
+    # only kgz takes --alpha and --c, and only burgers1d --F2; the others used
+    # to run with them unused, vdw printing the unchanged Elliptic result
     code, out, err = run(["classify", "--example", "vdw", "--state", "elliptic",
                           "--alpha", "3"], capsys)
     assert code == EXIT_CONFIG and "takes no parameter alpha" in err and "regime" not in out
     code, _, err = run(["branch", "--example", "burgers1d", "--state", "semisimple",
                         "--c", "0.5"], capsys)
     assert code == EXIT_CONFIG and "takes no parameter c" in err
-    code, _, err = run(["classify", "--example", "burgers1d", "--F2", "1",
-                        "--alpha", "3"], capsys)
-    assert code == EXIT_CONFIG and "--F2" in err
+    code, _, err = run(["classify", "--example", "burgers1d", "--state", "semisimple",
+                        "--F2", "1", "--alpha", "3"], capsys)
+    assert code == EXIT_CONFIG and "takes no parameter alpha" in err
     # the README's kgz parameters still run
     code, out, _ = run(["classify", "--example", "kgz", "--alpha", "1", "--c", "0.5",
                         "--state", "witness"], capsys)
@@ -325,17 +329,33 @@ def test_options_a_command_never_reads_are_refused(capsys, tmp_path):
 
 
 def test_F2_rate_comes_from_growth_rate(capsys, tmp_path, monkeypatch):
-    # simulate --F2 takes its rate from the jet formula, as every bundle
-    # without a registry rate does
+    # simulate takes its rate from the jet formula alone; ill-posed-all-data
+    # used to take its hand-entered 0.125 instead
     seen = _capture_simulate(monkeypatch)
-    code, _, err = run(["simulate", "--example", "burgers1d", "--F2", "2",
-                        "--out", str(tmp_path)], capsys)
-    assert code == EXIT_OK, err
-    sysb = burgers1d(1.0, (0.0, 2.0))
-    phi, _ = constant_reference((0.0, 0.0), dvalues_dt=(0.0, 2.0))
-    cl = classify(sysb, phi, REGION_1D)
-    rate = growth_rate(cl, None, field=as_field(sysb, phi))[0]
-    assert abs(seen["params"].gamma_minus - rate) <= 1e-6
+    for state, F2 in (("semisimple", None), ("ill-posed-all-data", None),
+                      ("semisimple", 2.0)):
+        extra = [] if F2 is None else ["--F2", str(F2)]
+        code, _, err = run(["simulate", "--example", "burgers1d", "--state", state,
+                            "--out", str(tmp_path)] + extra, capsys)
+        assert code == EXIT_OK, err
+        b = get_state("burgers1d", state, **({} if F2 is None else {"F2": F2}))
+        cl = classify(b.sys, b.phi, b.search_region)
+        assert cl.ell == 1.0
+        assert seen["params"].gamma_minus == growth_rate(cl, None)[0]
+
+
+def test_readme_command_lines_name_what_the_cli_takes():
+    # every `hypflow ...` line of the README's "Command line" block parses, and
+    # a command that takes --example names a registry state and its parameters
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("hypflow ")]
+    assert len(lines) >= 10
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        if hasattr(args, "example"):
+            _bundle_from_args(args)
 
 
 def test_program_value_error_is_not_config_error(capsys, tmp_path, monkeypatch):

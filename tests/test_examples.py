@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hypflow.classifier import classify
-from hypflow.examples import (burgers1d, burgers2d, get_states, kgz,
+from hypflow.classifier import PERSISTENT, classify
+from hypflow.examples import (burgers1d, burgers2d, get_state, get_states, kgz,
                               list_examples, van_der_waals)
 from hypflow.system_model import SystemSpec, eval_principal_symbol, spectrum
 
@@ -23,11 +23,15 @@ def _kgz_charpoly(lam, u, v, alpha, c):
 
 
 def test_registry_gate():
-    # every entry and every documented parameter regime reproduces its verdict
-    for name in list_examples():
-        for sname, bundle in get_states(name).items():
+    # every entry and every documented parameter regime reproduces its verdict;
+    # the burgers1d source (0, F2) leaves `semisimple` persistent at F2 = 0
+    cases = [(name, {}) for name in list_examples()]
+    cases += [("burgers1d", {"F2": F2}) for F2 in (0.0, 0.5, 2.0)]
+    for name, params in cases:
+        for sname, bundle in get_states(name, **params).items():
             cl = classify(bundle.sys, bundle.phi, bundle.search_region)
-            assert cl.regime == bundle.expected_regime, f"{name}/{sname}"
+            assert cl.regime == bundle.expected_regime, f"{name}/{sname} {params}"
+    assert get_state("burgers1d", "semisimple", F2=0.0).expected_regime == PERSISTENT
 
 
 def test_dual_polynomial_evaluation():

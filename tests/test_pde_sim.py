@@ -11,6 +11,7 @@ from scipy.linalg import expm
 
 from hypflow import pde_sim
 from hypflow.classifier import classify
+from hypflow.cli import EXIT_NUMERICAL, main
 from hypflow.examples import burgers1d, get_state, kgz
 from hypflow.pde_sim import (BoxLengthError, HadamardParams, SolverConfig,
                              _check_period, _frozen_synthesis, _stepped_synthesis,
@@ -335,6 +336,31 @@ def test_experiment_refuses_a_box_that_is_not_a_period():
             run_instability_experiment(b.sys, b.phi, cl, params, [1e-2], length=np.pi)
         _check_period(b.phi, 0.0, 2.0 * np.pi)
     _check_period(get_state("burgers1d", "semisimple").phi, 0.0, 0.3)   # constant: any box
+
+
+def test_experiment_raises_past_the_reference_breakdown(monkeypatch, tmp_path):
+    # a witness has no closed-form trajectory, so phi is evolved on the grid;
+    # past that run's breakdown phi_at used to serve its last stored state
+    real = pde_sim.evolve
+
+    def reference_breaks_at_first_sample(sys, u0, cfg, observer=None, **kw):
+        traj = real(sys, u0, cfg, observer=observer, **kw)
+        if observer is not None:
+            return traj
+        return pde_sim.Trajectory(traj.times[:2], traj.states[:2],
+                                  pde_sim.BreakdownInfo(float(traj.times[1]), "linf_cap"))
+    monkeypatch.setattr(pde_sim, "evolve", reference_breaks_at_first_sample)
+    b = get_state("vdw", "witness")
+    cl = classify(b.sys, b.phi, b.search_region)
+    params = HadamardParams(K=3.0, alpha=1.0, m=1.25, delta=0.7, T_star=9.0,
+                            h=2.0 / 3.0, gamma_minus=0.5)
+    with pytest.raises(RuntimeError, match=r"reference run broke down \(linf_cap\)"):
+        run_instability_experiment(b.sys, b.phi, cl, params, [1e-2], length=2.0 * np.pi)
+    # simulate reports it as a numerical failure and writes nothing
+    code = main(["simulate", "--example", "vdw", "--state", "witness", "--eps-ladder",
+                 "1e-2", "--length", str(2.0 * np.pi), "--out", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    assert not list(tmp_path.iterdir())
 
 
 def test_ratio_dt_convergence():
