@@ -109,7 +109,10 @@ def _write_csv(path: str, header_lines, columns, rows) -> None:
 
 
 def _bundle_from_args(args):
-    """The state that --example, --state and the system parameters name."""
+    """The state that --example, --state and the system parameters name; with
+    no --state, the example's default state, which args.state then names."""
+    if args.state is None and args.example in examples.REGISTRY:
+        args.state = examples.REGISTRY[args.example].default_state
     params = {k: getattr(args, k) for k in ("alpha", "c", "F2")
               if getattr(args, k) is not None}
     try:
@@ -142,7 +145,8 @@ def cmd_list_examples(args) -> int:
         entry = examples.REGISTRY[name]
         states = sorted(examples.get_states(name))
         tag = " [symbol-only]" if entry.symbol_only else ""
-        print(f"{name}{tag}: {entry.description}; states: {', '.join(states)}")
+        print(f"{name}{tag}: {entry.description}; states: {', '.join(states)} "
+              f"(default {entry.default_state})")
     return EXIT_OK
 
 
@@ -360,8 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--tol", type=float, default=1e-8,
                             help="classification equality tolerance")
             sp.add_argument("--example", required=True)
-            sp.add_argument("--state", default="witness",
-                            help="registry state (default: witness)")
+            sp.add_argument("--state", default=None,
+                            help="registry state (default: the example's default "
+                            "state, listed by list-examples)")
             sp.add_argument("--alpha", type=float, default=None,
                             help="system parameter alpha (kgz only)")
             sp.add_argument("--c", type=float, default=None,

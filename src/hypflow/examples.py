@@ -263,24 +263,25 @@ def _control_states():
 class ExampleRegistryEntry:
     description: str
     make_states: Callable
+    default_state: str          # the state `--state` names when it is omitted
     default_params: dict = dfield(default_factory=dict)
     symbol_only: bool = False
 
 
 REGISTRY = {
     "burgers1d": ExampleRegistryEntry(
-        "2x2 Burgers family [[u1,-b^2 u2],[u2,u1]]", _burgers_states,
+        "2x2 Burgers family [[u1,-b^2 u2],[u2,u1]]", _burgers_states, "semisimple",
         default_params={"F2": 1.0}),
     "burgers2d": ExampleRegistryEntry(
         "two-dimensional Burgers family (classification only)", _burgers2d_states,
-        symbol_only=True),
+        "semisimple", symbol_only=True),
     "vdw": ExampleRegistryEntry(
-        "isentropic Euler with a Van der Waals pressure", _vdw_states),
+        "isentropic Euler with a Van der Waals pressure", _vdw_states, "witness"),
     "kgz": ExampleRegistryEntry(
         "Klein-Gordon coupled to a wave equation, states (u,v,n,m)", _kgz_states,
-        default_params={"alpha": 1.0, "c": 0.5}),
+        "witness", default_params={"alpha": 1.0, "c": 0.5}),
     "symmetric-control": ExampleRegistryEntry(
-        "symmetric hyperbolic control system", _control_states),
+        "symmetric hyperbolic control system", _control_states, "default"),
 }
 
 

@@ -178,7 +178,7 @@ def _rk4(s: np.ndarray, k1: np.ndarray, dt: float, gm, g1) -> np.ndarray:
     sum, and each slope is dropped before the next product is made, so the
     allocator hands its memory straight back instead of faulting in fresh
     pages.  The ufuncs take `out` positionally (the keyword form is slower on
-    the 2 x 2 matrix flow), and a slope is doubled by adding it to itself,
+    small matrix flows), and a slope is doubled by adding it to itself,
     exact like the product by 2 but with no scalar to convert.  Neither `s`
     nor `k1` is modified.
     """
@@ -204,18 +204,88 @@ def _rk4(s: np.ndarray, k1: np.ndarray, dt: float, gm, g1) -> np.ndarray:
     return acc
 
 
+def _attempt(s: np.ndarray, dt: float, g0, gq, gm, g3, g1):
+    """One attempted step of `_adaptive_rk4` on an array state: a full RK4
+    step against two half steps, the first two sharing their first slope, so
+    the attempt makes 11 generator products.  Returns (s_two + (s_two -
+    s_one) / 15, max|s_two - s_one| / scale, scale), scale = max(1, max|s_two|).
+    """
+    k1 = g0 @ s
+    s_one = _rk4(s, k1, dt, gm, g1)
+    sh = _rk4(s, k1, 0.5 * dt, gq, gm)
+    del k1
+    s_two = _rk4(sh, gm @ sh, 0.5 * dt, g3, g1)
+    del sh
+    diff = s_two - s_one
+    del s_one
+    scale = max(1.0, float(np.abs(s_two).max()))
+    err = float(np.abs(diff).max()) / scale
+    diff /= 15.0
+    return np.add(s_two, diff, out=diff), err, scale
+
+
+def _rk4_2x2(s, k, dt: float, gm, g1):
+    """`_rk4` on a 2x2 state, slope and generators, each held as four complex
+    scalars row by row, in the same association order."""
+    s0, s1, s2, s3 = s
+    k0, k1, k2, k3 = k
+    m0, m1, m2, m3 = gm
+    h = 0.5 * dt
+    a0, a1, a2, a3 = h * k0 + s0, h * k1 + s1, h * k2 + s2, h * k3 + s3
+    b0, b1, b2, b3 = (m0 * a0 + m1 * a2, m0 * a1 + m1 * a3,             # k2
+                      m2 * a0 + m3 * a2, m2 * a1 + m3 * a3)
+    a0, a1, a2, a3 = h * b0 + s0, h * b1 + s1, h * b2 + s2, h * b3 + s3
+    c0, c1, c2, c3 = b0 + b0 + k0, b1 + b1 + k1, b2 + b2 + k2, b3 + b3 + k3
+    b0, b1, b2, b3 = (m0 * a0 + m1 * a2, m0 * a1 + m1 * a3,             # k3
+                      m2 * a0 + m3 * a2, m2 * a1 + m3 * a3)
+    a0, a1, a2, a3 = dt * b0 + s0, dt * b1 + s1, dt * b2 + s2, dt * b3 + s3
+    c0, c1, c2, c3 = c0 + (b0 + b0), c1 + (b1 + b1), c2 + (b2 + b2), c3 + (b3 + b3)
+    m0, m1, m2, m3 = g1
+    b0, b1, b2, b3 = (m0 * a0 + m1 * a2, m0 * a1 + m1 * a3,             # k4
+                      m2 * a0 + m3 * a2, m2 * a1 + m3 * a3)
+    d = dt / 6.0
+    return (d * (c0 + b0) + s0, d * (c1 + b1) + s1,
+            d * (c2 + b2) + s2, d * (c3 + b3) + s3)
+
+
+def _attempt_2x2(s, dt: float, g0, gq, gm, g3, g1):
+    """`_attempt` on a 2x2 state and generators, each held as four complex
+    scalars row by row.  Where every product's sum meets an exact zero term
+    and every entry is real or imaginary, as on the model block, it rounds
+    as `_attempt` does: Python's complex products and abs then round like
+    numpy's, and numpy divides by 15 as a product by 1/15.  On a dense
+    generator the two agree to rounding."""
+    s0, s1, s2, s3 = s
+    m0, m1, m2, m3 = g0
+    k = m0 * s0 + m1 * s2, m0 * s1 + m1 * s3, m2 * s0 + m3 * s2, m2 * s1 + m3 * s3
+    o0, o1, o2, o3 = _rk4_2x2(s, k, dt, gm, g1)
+    sh = h0, h1, h2, h3 = _rk4_2x2(s, k, 0.5 * dt, gq, gm)
+    m0, m1, m2, m3 = gm
+    k = m0 * h0 + m1 * h2, m0 * h1 + m1 * h3, m2 * h0 + m3 * h2, m2 * h1 + m3 * h3
+    w0, w1, w2, w3 = _rk4_2x2(sh, k, 0.5 * dt, g3, g1)
+    d0, d1, d2, d3 = w0 - o0, w1 - o1, w2 - o2, w3 - o3
+    scale = max(1.0, abs(w0), abs(w1), abs(w2), abs(w3))
+    err = max(abs(d0), abs(d1), abs(d2), abs(d3)) / scale
+    r = 1.0 / 15.0
+    return (w0 + d0 * r, w1 + d1 * r, w2 + d2 * r, w3 + d3 * r), err, scale
+
+
 def _adaptive_rk4(gen: Callable, s, t0: float, t1: float, rtol: float,
                   max_step: float, min_step: float, on_accept: Callable):
     """Step S' = gen(t) S from t0 to t1 by RK4 with step doubling and local
-    Richardson extrapolation; gen(t) need only support `@` on the state.
+    Richardson extrapolation; the one step-size controller of the package.
 
-    The full step and the first half step share their first slope, so an
-    attempted step makes 11 generator products.  The local error test is
-    relative (`rtol`) plus an absolute 1e-13, both against max(1, max|S|).
-    Every accepted step calls on_accept(t, dt, s, gm, g1) with the new time
-    and state and the generators at the step's middle and end (the end one
-    is the next step's start).  Returns (s, accepted steps, rejected steps).
+    The state's type picks the attempt kernel.  A tuple is a 2x2 state held
+    as four complex scalars row by row, and gen(t) returns its generator the
+    same way (`_attempt_2x2`); any other state is an array, and gen(t) need
+    only support `@` on it (`_attempt`, 11 generator products an attempt).
+    The local error test is relative (`rtol`) plus an absolute 1e-13, both
+    against max(1, max|S|).  Every accepted step calls on_accept(t, dt, s,
+    gm, g1) with the new time and state and the generators at the step's
+    middle and end (the end one is the next step's start).  Returns (s,
+    accepted steps, rejected steps).
     """
+    attempt = _attempt_2x2 if isinstance(s, tuple) else _attempt
     t = t0
     dt = min(max_step, max((t1 - t0) / 16.0, min_step))
     n_steps = 0
@@ -227,28 +297,21 @@ def _adaptive_rk4(gen: Callable, s, t0: float, t1: float, rtol: float,
         gm = gen(t + 0.5 * dt)
         g3 = gen(t + 0.75 * dt)
         g1 = gen(t + dt)
-        k1 = g0 @ s
-        s_one = _rk4(s, k1, dt, gm, g1)
-        sh = _rk4(s, k1, 0.5 * dt, gq, gm)
-        del k1
-        s_two = _rk4(sh, gm @ sh, 0.5 * dt, g3, g1)
-        diff = s_two - s_one
-        scale = max(1.0, float(np.abs(s_two).max()))
-        err = float(np.abs(diff).max()) / scale
+        s_new, err, scale = attempt(s, dt, g0, gq, gm, g3, g1)
         tol = rtol + 1e-13 / scale
         if err > tol and dt <= min_step * 4:
             raise RuntimeError(
                 f"flow tolerance {tol:.1e} unreachable at the step floor; "
                 f"achieved local residual {err:.3e}")
         if err <= tol:
-            diff /= 15.0
-            s = np.add(s_two, diff, out=diff)
+            s = s_new
             t += dt
             n_steps += 1
             on_accept(t, dt, s, gm, g1)
             g0 = g1
         else:
             n_rej += 1
+        del s_new
         fac = 0.9 * (tol / err) ** 0.2 if err > 0 else 4.0
         dt = min(max_step, max(min_step, dt * min(4.0, max(0.1, fac))))
         if n_steps + n_rej > 5_000_000:
@@ -274,18 +337,31 @@ def integrate_symbolic_flow(a_star_sampler: Callable, cfg: FlowConfig,
         return pref * np.asarray(a_star_sampler(t), dtype=complex)
 
     g_tau = gen(tau)
-    s = np.eye(g_tau.shape[0], dtype=complex)
+    n = g_tau.shape[0]
+    s = np.eye(n, dtype=complex)
+    trace = np.trace
+    if n == 2:
+        # an unbatched 2x2 flow steps on four complex scalars, row by row;
+        # pref's real part is 0, so pref * a rounds once, as in numpy
+        def gen(t: float) -> tuple:
+            a0, a1, a2, a3 = np.asarray(a_star_sampler(t), dtype=complex).ravel().tolist()
+            return pref * a0, pref * a1, pref * a2, pref * a3
+
+        def trace(g: tuple) -> complex:
+            return g[0] + g[3]
+
+        g_tau, s = tuple(g_tau.ravel().tolist()), tuple(s.ravel().tolist())
     times = [tau]
     samples = [s]
     traces = [0.0 + 0.0j]   # int tr(M)
-    tr0 = g_tau.trace()     # tr M at the start of the next step
+    tr0 = trace(g_tau)      # tr M at the start of the next step
 
     def record(t, dt, s, gm, g1):
         nonlocal tr0
-        tr1 = g1.trace()
+        tr1 = trace(g1)
         times.append(t)
         samples.append(s)
-        traces.append(traces[-1] + dt / 6.0 * (tr0 + 4.0 * gm.trace() + tr1))
+        traces.append(traces[-1] + dt / 6.0 * (tr0 + 4.0 * trace(gm) + tr1))
         tr0 = tr1
 
     # the sample that sized the identity is the stepper's first generator
@@ -293,7 +369,7 @@ def integrate_symbolic_flow(a_star_sampler: Callable, cfg: FlowConfig,
                                       t_end, cfg.rtol, cfg.max_step, cfg.min_step, record)
 
     times = np.asarray(times)
-    samples = np.asarray(samples)
+    samples = np.asarray(samples).reshape(-1, n, n)
     traces = np.asarray(traces)
     # Liouville: det S(tau;t) = exp(int tr(M)) exactly for the continuous flow
     dets = np.abs(np.linalg.det(samples))

@@ -41,6 +41,17 @@ def test_classify_commands(capsys, tmp_path):
     assert code == EXIT_OK and "HyperbolicPersistent" in out
 
 
+def test_state_defaults_to_the_example_default(capsys, tmp_path):
+    # --state used to default to `witness`, a state only vdw and kgz have
+    for example, state, regime in (("burgers1d", "semisimple", "SemisimpleTransition"),
+                                   ("symmetric-control", "default", "HyperbolicPersistent")):
+        code, out, err = run(["classify", "--example", example, "--out", str(tmp_path)],
+                             capsys)
+        assert code == EXIT_OK, err
+        report = json.loads((tmp_path / f"classify_{example}_{state}.json").read_text())
+        assert report["regime"] == regime and f"regime: {regime}" in out
+
+
 def test_F2_with_another_example_is_config_error(capsys):
     # F2 is a burgers1d parameter; vdw used to run with it silently unused
     code, _, err = run(["classify", "--example", "vdw", "--state", "elliptic",

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from hypflow.classifier import PERSISTENT, classify
 from hypflow.examples import (burgers1d, burgers2d, get_state, get_states, kgz,
                               list_examples, van_der_waals)
-from hypflow.system_model import SystemSpec, eval_principal_symbol, spectrum
+from hypflow.system_model import SystemSpec, _richardson, eval_principal_symbol, spectrum
 
 
 def _charpoly_at(a, lam):
@@ -86,6 +86,32 @@ def test_reference_solutions_consistent_at_t0():
                 a = bundle.phi(0.0, x)
                 b = bundle.phi.at0(x)
                 assert np.max(np.abs(a - b)) < 1e-14
+
+
+def test_trajectories_solve_their_pde():
+    # a state's phi_traj_vec stands in for the evolved reference, so it must
+    # solve d_t phi + A(phi) d_x phi = F(phi); every such state is affine in
+    # t, so the Richardson differences leave only roundoff
+    xs = np.array([-1.3, 0.0, 0.4, 2.9])
+    solved = []
+    for name in list_examples():
+        for sname, b in get_states(name).items():
+            if b.phi_traj_vec is None:
+                continue
+            for t in (0.0, 0.35, 1.7):
+                phi = np.asarray(b.phi_traj_vec(t, xs))
+                dt_phi = _richardson(lambda s: np.asarray(b.phi_traj_vec(s, xs)), t, 1e-2)[0]
+                dx_phi = _richardson(lambda s: np.asarray(b.phi_traj_vec(t, xs + s)),
+                                     0.0, 1e-2)[0]
+                a = b.sys.fluxes_vec[0](t, xs, phi)
+                f = b.sys.source_vec(t, xs, phi)
+                res = dt_phi + np.einsum("nij,nj->ni", a, dx_phi) - f
+                assert np.max(np.abs(res)) < 1e-12 * max(1.0, np.max(np.abs(f))), \
+                    (name, sname, t)
+            solved.append(f"{name}/{sname}")
+    assert sorted(solved) == ["burgers1d/elliptic", "burgers1d/ill-posed-all-data",
+                      "burgers1d/persistent", "burgers1d/semisimple",
+                      "symmetric-control/default", "vdw/elliptic"]
 
 
 def test_burgers_source_vec_matches_per_node():

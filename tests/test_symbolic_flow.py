@@ -237,6 +237,43 @@ def test_adaptive_rk4_makes_eleven_products_per_attempt():
     assert len(products) == 11 * (n_steps + n_rej)
 
 
+def _scalars(m):
+    """A 2x2 matrix as the scalar kernel holds it: four complex numbers, row by row."""
+    return tuple(np.asarray(m, dtype=complex).ravel().tolist())
+
+
+def test_scalar_kernel_matches_array_kernel():
+    # a tuple state steps on the 2x2 scalar kernel, an array on the array one
+    eye = np.eye(2, dtype=complex)
+
+    def both(gen, t1, rtol, max_step):
+        args = (0.0, t1, rtol, max_step, 1e-12, lambda *step: None)
+        arr = _adaptive_rk4(gen, eye, *args)
+        sca = _adaptive_rk4(lambda t: _scalars(gen(t)), _scalars(eye), *args)
+        assert isinstance(sca[0], tuple) and sca[1:] == arr[1:]
+        return np.reshape(sca[0], (2, 2)), arr[0], arr[2]
+
+    # the model block: every product's sum meets an exact zero, so both
+    # kernels round alike, on [0, 2] at 1e-3 and on the whole `hypflow
+    # flow` rung at 1e-6 (where a changed association order shows)
+    for eps, t1 in ((1e-3, 2.0), (1e-6, None)):
+        cfg = FlowConfig(eps=eps, ell=0.5, T_star=4.0, rtol=1e-8, max_step=0.02)
+        pref = -1j * cfg.eps ** (cfg.h - 1.0)
+        a_star = model_block_sampler(eps, 1.0, 0.0)
+        sca, arr, _ = both(lambda t: pref * a_star(t), t1 or cfg.T_eps, cfg.rtol,
+                           cfg.max_step)
+        assert np.array_equal(sca, arr), eps
+
+    # a dense, time-dependent generator with rejected steps: the products
+    # round differently, so the states agree to rounding only
+    rng = np.random.default_rng(17)
+    c = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    sca, arr, n_rej = both(lambda t: 4.0 * (c[0] + t * c[1] + np.sin(5.0 * t) * c[2]),
+                           2.0, 1e-9, 0.5)
+    assert n_rej > 0
+    assert np.max(np.abs(sca - arr)) <= 1e-12 * np.max(np.abs(arr))
+
+
 def test_trace_free_block_unimodular():
     cfg = FlowConfig(eps=1e-3, ell=0.5, T_star=2.0, rtol=1e-9, max_step=0.01)
     res = integrate_symbolic_flow(model_block_sampler(1e-3, 1.0, 0.0), cfg, 0.0, 2.0)

@@ -7,10 +7,12 @@ PARENT and CHANGE are two checkouts of the repository.  Each pair runs
 each, one after the other: the parent first in even pairs, the change first
 in odd ones.  The runs get PYTHONDONTWRITEBYTECODE=1, and any `__pycache__`
 under the checkouts' `src/` and `perfbench/` is removed first, so every run
-compiles the modules it imports, as a fresh checkout does.  Two lines of perfbench's output are read:
-the last, the end-to-end metrics, and the `physics` line.  Every pair is
-printed; then, per metric, both medians, the parent's quartiles and how many
-pairs the change read lower; and last whether the two physics lines were
+compiles the modules it imports, as a fresh checkout does.  Two lines of
+perfbench's output are read: the last, the end-to-end metrics, and the
+`physics` line.  Every pair is printed; then, per metric, both medians, the
+parent's quartiles, how many pairs the change read lower and a verdict (see
+`verdict`) against the metric's bound in the change checkout's
+BENCHMARK.json; and last whether the two physics lines were
 byte-identical in every pair, or else, for the first pair that differs, the
 largest relative difference over the numeric leaves, with its key and both
 values, and every non-numeric difference (a changed string, flag or None, a
@@ -82,6 +84,33 @@ def describe_differences(old, new) -> list[str]:
     return lines + other
 
 
+def verdict(old: list, new: list, bound: float, better: str) -> str:
+    """The verdict on one end-to-end metric over paired runs, `bound` a
+    fraction of the parent's median and `better` "lower" or "higher":
+
+    - "regressed": the change's median is worse than the parent's by more
+      than the bound;
+    - "unresolved": the parent's quartile spread exceeds the bound, unless
+      every change run beats every parent run;
+    - "gain shown": the change wins at least 9 in 10 pairs (ties count for
+      neither side) and the medians differ by more than the parent's
+      quartile spread;
+    - "within bound" otherwise.
+    """
+    sign = 1.0 if better == "lower" else -1.0       # sign * (a - b) > 0: b beats a
+    base = statistics.median(old)
+    q1, _, q3 = statistics.quantiles(old, n=4) if len(old) > 1 else (old[0],) * 3
+    gain = sign * (base - statistics.median(new))
+    if -gain > bound * abs(base):
+        return "regressed"
+    if q3 - q1 > bound * abs(base) and not all(sign * (a - b) > 0 for a in old for b in new):
+        return "unresolved"
+    wins = sum(sign * (a - b) > 0 for a, b in zip(old, new))
+    if wins >= 0.9 * len(old) and gain > q3 - q1:
+        return "gain shown"
+    return "within bound"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -97,6 +126,9 @@ def main(argv=None) -> int:
     for name, root in sides.items():
         if not (root / "perfbench" / "run.py").is_file():
             ap.error(f"{name} checkout {root} has no perfbench/run.py")
+
+    bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+    bounds = {m["name"]: m for m in bench["end_to_end"]}
 
     results = []
     for i in range(args.pairs):
@@ -117,9 +149,12 @@ def main(argv=None) -> int:
         new = [r["change"]["metrics"][name]["value"] for r in results]
         q1, _, q3 = statistics.quantiles(old, n=4) if len(old) > 1 else (old[0],) * 3
         lower = sum(b < a for a, b in zip(old, new))
+        entry = bounds.get(name)
+        tail = "" if entry is None else \
+            f": {verdict(old, new, entry['bound'], entry['better'])} (bound {entry['bound']:g})"
         print(f"  {name} [{meta['unit']}]: medians {statistics.median(old):.4g} / "
               f"{statistics.median(new):.4g}, parent quartiles {q1:.4g}-{q3:.4g}, "
-              f"change lower in {lower} of {len(results)}")
+              f"change lower in {lower} of {len(results)}{tail}")
     differ = [i for i, r in enumerate(results)
               if r["parent"]["physics"] != r["change"]["physics"]]
     if not differ:
