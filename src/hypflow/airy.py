@@ -50,20 +50,22 @@ def wronskian(tau: float) -> complex:
     return aj.ai * a.aip - J * aj.aip * a.ai
 
 
+def _z_parts(v_tau: AiryValue, v_jtau: AiryValue, v_t: AiryValue, v_jt: AiryValue):
+    """(W(tau) Z(tau;t) row by row, W(tau)) from Ai and Ai' at tau, j tau, t and
+    j t; the fields may be arrays, broadcast against each other."""
+    w = v_jtau.ai * v_tau.aip - J * v_jtau.aip * v_tau.ai
+    return (-J * v_jtau.aip * v_t.ai + v_tau.aip * v_jt.ai,
+            -v_jtau.ai * v_t.ai + v_tau.ai * v_jt.ai,
+            J * v_jtau.aip * v_t.aip - J * v_tau.aip * v_jt.aip,
+            v_jtau.ai * v_t.aip - J * v_tau.ai * v_jt.aip), w
+
+
 def vector_airy(tau: float, t: float) -> VectorAiry:
     """Closed-form Z(tau;t) built from Ai at arguments tau, t, j*tau, j*t."""
     if max(abs(tau), abs(t)) > MAX_ABS:
         raise ValueError("vector_airy documented for |tau|, |t| <= 40")
-    a_t, a_tau = airy_ai(t), airy_ai(tau)
-    a_jt, a_jtau = airy_ai(J * t), airy_ai(J * tau)
-    w = a_jtau.ai * a_tau.aip - J * a_jtau.aip * a_tau.ai
-    Z = np.array([
-        [-J * a_jtau.aip * a_t.ai + a_tau.aip * a_jt.ai,
-         -a_jtau.ai * a_t.ai + a_tau.ai * a_jt.ai],
-        [J * a_jtau.aip * a_t.aip - J * a_tau.aip * a_jt.aip,
-         a_jtau.ai * a_t.aip - J * a_tau.ai * a_jt.aip],
-    ], dtype=complex) / w
-    return VectorAiry(Z)
+    z, w = _z_parts(airy_ai(tau), airy_ai(J * tau), airy_ai(t), airy_ai(J * t))
+    return VectorAiry(np.array(z, dtype=complex).reshape(2, 2) / w)
 
 
 def airy_envelope(tau: float, t: float) -> float:
@@ -91,23 +93,29 @@ def verify_airy_bounds(t_grid) -> AiryBoundsReport:
     c_lower: largest c with |Z(0;t)_{12}| >= c e_Ai(0;t), fitted over t > 0 only
     (the entry vanishes identically at t = 0, where the bound is vacuous);
     C_oscillatory: max of |Ai(-t)| t^(1/4) over the positive grid values.
+    A grid with no positive point gives the vacuous c_lower = inf and
+    C_oscillatory = 0.0.  Ai is evaluated once per grid point at t, j t and -t
+    and once at 0; Z(tau;t) of all pairs comes by broadcasting, tau down.
     """
     ts = np.sort(np.asarray(t_grid, dtype=float))
-    if np.any(ts < 0):
-        raise ValueError("verify_airy_bounds expects 0 <= tau <= t")
-    C_up = 0.0
-    c_low = math.inf
-    for i, tau in enumerate(ts):
-        for t in ts[i:]:
-            Z = vector_airy(tau, t).Z
-            env = airy_envelope(tau, t) * (1 + tau) ** 0.25 * (1 + t) ** 0.25
-            C_up = max(C_up, float(np.max(np.abs(Z))) / env)
-    for t in ts:
-        if t <= 0.0:
-            continue
-        z12 = abs(vector_airy(0.0, t).Z[0, 1])
-        c_low = min(c_low, z12 / airy_envelope(0.0, t))
-    C_osc = max(abs(airy_ai(-t).ai) * t ** 0.25 for t in ts if t > 0)
+    if np.any(ts < 0) or np.any(ts > MAX_ABS):
+        raise ValueError(f"verify_airy_bounds expects 0 <= tau <= t <= {MAX_ABS:g}")
+    n = ts.size
+    ai, aip, _, _ = special.airy(np.concatenate([ts, J * ts, -ts, [0.0]]))
+    v, vj = AiryValue(ai[:n], aip[:n]), AiryValue(ai[n:2 * n], aip[n:2 * n])
+    c = np.s_[:, None]                                    # tau down a column
+    z, w = _z_parts(AiryValue(v.ai[c], v.aip[c]), AiryValue(vj.ai[c], vj.aip[c]), v, vj)
+    # libm's pow, as in `airy_envelope`: numpy's may round otherwise, and exp magnifies it
+    grow = np.array([t ** 1.5 for t in ts.tolist()])
+    env = np.exp((2.0 / 3.0) * (grow - grow[c])) * (1 + ts[c]) ** 0.25 * (1 + ts) ** 0.25
+    C_up = float(np.max(np.abs(np.stack(z) / w).max(axis=0) / env, initial=0.0,
+                        where=ts[c] <= ts))
+    pos = ts > 0.0
+    v0 = AiryValue(ai[-1], aip[-1])                       # at 0 = j 0
+    z, w = _z_parts(v0, v0, v, vj)
+    c_low = float(np.min(np.abs(z[1] / w) / np.exp((2.0 / 3.0) * grow), initial=math.inf,
+                         where=pos))
+    C_osc = float(np.max(np.abs(ai[2 * n:3 * n]) * ts ** 0.25, initial=0.0, where=pos))
     return AiryBoundsReport(C_up, c_low, C_osc)
 
 
@@ -116,11 +124,13 @@ def model_block_sampler(eps: float, f0: float, t_star: float):
 
     Returns a callable t -> 2x2 complex so that the symbolic-flow equation
     dS/dt + i eps^{-1/3} A(t) S = 0 conjugates to Z' + [[0,1],[t,0]] Z = 0 under
-    D = diag(-i (eps f0)^{1/3}, 1) and Theta(s) = f0^{1/3} (s - t_star).
+    D = diag(-i (eps f0)^{1/3}, 1) and Theta(s) = f0^{1/3} (s - t_star), as the
+    row-major 4-tuple of complex numbers that the 2x2 flow kernel steps on.
     """
-    def a_star(t: float) -> np.ndarray:
-        return np.array([[0.0, 1.0],
-                         [-eps ** (2.0 / 3.0) * (t - t_star) * f0, 0.0]], dtype=complex)
+    c = -eps ** (2.0 / 3.0)
+
+    def a_star(t: float) -> tuple:
+        return 0j, 1 + 0j, complex(c * (t - t_star) * f0), 0j
     return a_star
 
 

@@ -332,25 +332,29 @@ def integrate_symbolic_flow(a_star_sampler: Callable, cfg: FlowConfig,
         raise ValueError("t_end must be >= tau")
     pref = -1j * cfg.eps ** (cfg.h - 1.0)
 
-    def gen(t: float) -> np.ndarray:
-        """M(t) = -i eps^(h-1) A*(t), the flow being S' = M S."""
-        return pref * np.asarray(a_star_sampler(t), dtype=complex)
+    def generator(a) -> np.ndarray:
+        """M(t) = -i eps^(h-1) A*(t) from the sample a = A*(t), the flow being S' = M S."""
+        return pref * np.asarray(a, dtype=complex)
 
-    g_tau = gen(tau)
-    n = g_tau.shape[0]
+    a_tau = a_star_sampler(tau)
+    # a sampler may return a 2x2 A*(t) as its row-major 4-tuple
+    n = 2 if isinstance(a_tau, tuple) else np.shape(a_tau)[0]
     s = np.eye(n, dtype=complex)
     trace = np.trace
     if n == 2:
         # an unbatched 2x2 flow steps on four complex scalars, row by row;
         # pref's real part is 0, so pref * a rounds once, as in numpy
-        def gen(t: float) -> tuple:
-            a0, a1, a2, a3 = np.asarray(a_star_sampler(t), dtype=complex).ravel().tolist()
+        def generator(a) -> tuple:
+            if not isinstance(a, tuple):
+                a = np.asarray(a, dtype=complex).ravel().tolist()
+            a0, a1, a2, a3 = a
             return pref * a0, pref * a1, pref * a2, pref * a3
 
         def trace(g: tuple) -> complex:
             return g[0] + g[3]
 
-        g_tau, s = tuple(g_tau.ravel().tolist()), tuple(s.ravel().tolist())
+        s = tuple(s.ravel().tolist())
+    g_tau = generator(a_tau)
     times = [tau]
     samples = [s]
     traces = [0.0 + 0.0j]   # int tr(M)
@@ -365,8 +369,9 @@ def integrate_symbolic_flow(a_star_sampler: Callable, cfg: FlowConfig,
         tr0 = tr1
 
     # the sample that sized the identity is the stepper's first generator
-    _, n_steps, n_rej = _adaptive_rk4(lambda t: g_tau if t == tau else gen(t), s, tau,
-                                      t_end, cfg.rtol, cfg.max_step, cfg.min_step, record)
+    _, n_steps, n_rej = _adaptive_rk4(
+        lambda t: g_tau if t == tau else generator(a_star_sampler(t)), s, tau, t_end,
+        cfg.rtol, cfg.max_step, cfg.min_step, record)
 
     times = np.asarray(times)
     samples = np.asarray(samples).reshape(-1, n, n)
@@ -410,7 +415,10 @@ def verify_upper_bound(result: SymbolicFlowResult, env: GrowthEnvelope) -> Upper
     """Per-entry ratios |S_ij| / (W_ij e_gamma+), W = [[1, eps^-zeta],[eps^zeta, 1]]."""
     n = result.samples.shape[1]
     w = _block_weights(n, result.zeta, result.eps)
-    e = np.array([eval_growth(env, "plus", result.tau, float(t)) for t in result.times])
+    # `eval_growth` over all times, with libm's pow: numpy's may round otherwise
+    ts, p = float(env.t_star), env.ell + 1.0
+    grow = np.array([max(t - ts, 0.0) ** p for t in result.times.tolist()])
+    e = np.exp(float(env.gamma_plus) * (grow - max(result.tau - ts, 0.0) ** p))
     return UpperBoundReport(float(np.max(np.abs(result.samples) / (w * e[:, None, None]))))
 
 

@@ -113,6 +113,44 @@ def test_airy_bounds_report():
     assert rep.C_oscillatory <= 1.2 / math.sqrt(math.pi)
 
 
+def _per_pair_bounds(t_grid):
+    """The fits of `verify_airy_bounds`, pair by pair from `vector_airy`."""
+    ts = np.sort(np.asarray(t_grid, dtype=float))
+    C_up = 0.0
+    for i, tau in enumerate(ts):
+        for t in ts[i:]:
+            env = airy_envelope(tau, t) * (1 + tau) ** 0.25 * (1 + t) ** 0.25
+            C_up = max(C_up, float(np.max(np.abs(vector_airy(tau, t).Z))) / env)
+    pos = [t for t in ts if t > 0.0]
+    c_low = min(abs(vector_airy(0.0, t).Z[0, 1]) / airy_envelope(0.0, t) for t in pos)
+    C_osc = max(abs(airy_ai(-t).ai) * t ** 0.25 for t in pos)
+    return C_up, c_low, C_osc
+
+
+def test_airy_bounds_match_per_pair_fits():
+    # the CLI grid, a grid without 0 (c_lower is still taken at tau = 0), an
+    # unsorted one reaching |t| = 40 (where exp((2/3) t^1.5) magnifies a last
+    # bit of t^1.5 past 1e-14) and one of small t (where the two terms of each
+    # entry of Z are alike in size)
+    for grid in (np.linspace(0.0, 20.0, 21), np.linspace(0.25, 20.0, 25),
+                 np.random.default_rng(15).uniform(0.0, 40.0, 16),
+                 np.random.default_rng(16).permutation(np.linspace(0.0, 2.0, 9))):
+        rep = verify_airy_bounds(grid)
+        got = (rep.C_upper, rep.c_lower, rep.C_oscillatory)
+        for g, ref in zip(got, _per_pair_bounds(grid)):
+            assert abs(g - ref) <= 1e-14 * ref, (grid, got)
+    with pytest.raises(ValueError):
+        verify_airy_bounds([0.0, 40.5])
+    with pytest.raises(ValueError):
+        verify_airy_bounds([-0.5, 1.0])
+
+
+def test_airy_bounds_without_positive_point_are_vacuous():
+    rep = verify_airy_bounds([0.0, 0.0])
+    assert rep.c_lower == math.inf and rep.C_oscillatory == 0.0
+    assert abs(rep.C_upper - 1.0) < 1e-12
+
+
 def test_conjugated_flow_compare():
     assert conjugated_flow_compare(1e-4, 1.0, 0.0, 1.0, 1.0) == 0.0
     res = conjugated_flow_compare(1e-4, 1.0, 0.0, 0.0, 3.0)

@@ -237,6 +237,18 @@ def test_airy_command_headers_and_wronskian(capsys, tmp_path):
     assert max(devs) < 1e-8
 
 
+def test_airy_t_max_zero_gives_the_vacuous_fits(capsys, tmp_path):
+    # a grid with no positive point: c_lower = inf, and the command succeeds
+    code, out, _ = run(["airy", "--t-max", "0", "--points", "3", "--out", str(tmp_path)],
+                       capsys)
+    path = tmp_path / "airy.csv"
+    assert code == EXIT_OK
+    assert out == f"airy bounds: C_upper=1.0000 c_lower=inf ok=True; CSV written to {path}\n"
+    data = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    assert data[0] == "t,Ai,lower_envelope_ratio,wronskian_dev" and len(data) == 4
+    assert all(line.split(",")[:3] == ["0", "0.35502805388781722", "0"] for line in data[1:])
+
+
 def test_outputs_default_to_the_working_directory(capsys, tmp_path, monkeypatch):
     # with no --out, files land in the current directory, and
     # simulate --dump-states still gets a states directory

@@ -260,8 +260,8 @@ def test_scalar_kernel_matches_array_kernel():
         cfg = FlowConfig(eps=eps, ell=0.5, T_star=4.0, rtol=1e-8, max_step=0.02)
         pref = -1j * cfg.eps ** (cfg.h - 1.0)
         a_star = model_block_sampler(eps, 1.0, 0.0)
-        sca, arr, _ = both(lambda t: pref * a_star(t), t1 or cfg.T_eps, cfg.rtol,
-                           cfg.max_step)
+        sca, arr, _ = both(lambda t: pref * np.reshape(a_star(t), (2, 2)),
+                           t1 or cfg.T_eps, cfg.rtol, cfg.max_step)
         assert np.array_equal(sca, arr), eps
 
     # a dense, time-dependent generator with rejected steps: the products
@@ -272,6 +272,20 @@ def test_scalar_kernel_matches_array_kernel():
                            2.0, 1e-9, 0.5)
     assert n_rej > 0
     assert np.max(np.abs(sca - arr)) <= 1e-12 * np.max(np.abs(arr))
+
+
+def test_tuple_sampler_matches_array_sampler():
+    # the model block's row-major 4-tuple steps as its 2x2 matrix does, here
+    # with t* != 0 and a start tau < t*
+    sampler = model_block_sampler(1e-3, 1.0, 0.5)
+    cfg = FlowConfig(eps=1e-3, ell=0.5, T_star=4.0, rtol=1e-8, max_step=0.02)
+    tup = integrate_symbolic_flow(sampler, cfg, 0.0, 3.0)
+    arr = integrate_symbolic_flow(lambda t: np.reshape(sampler(t), (2, 2)), cfg, 0.0, 3.0)
+    assert isinstance(sampler(0.0), tuple)
+    assert np.array_equal(tup.times, arr.times) and np.array_equal(tup.samples, arr.samples)
+    assert (tup.n_steps, tup.n_rejected) == (arr.n_steps, arr.n_rejected)
+    assert tup.flow_residual == arr.flow_residual
+    assert tup.liouville_residual == arr.liouville_residual
 
 
 def test_trace_free_block_unimodular():
@@ -347,6 +361,21 @@ def test_upper_bound_equals_per_sample_loop():
         worst = max(worst, float(np.max(np.abs(s) / (w * e))))
     assert res.times.size > 10 and worst > 0.0
     assert verify_upper_bound(res, env).max_ratio == worst
+
+
+def test_upper_bound_envelope_clamps_before_t_star():
+    # a flow from tau = 0 < t* = 1 that grows before t* and oscillates after:
+    # the worst ratio sits where (t - t*)_+ has just left 0, so a wrong clamp
+    # moves it
+    cfg = FlowConfig(eps=1e-3, ell=0.5, T_star=4.0, rtol=1e-8, max_step=0.02)
+    res = integrate_symbolic_flow(model_block_sampler(1e-3, -1.0, 1.0), cfg, 0.0, 2.0,
+                                  check_flow_property=False)
+    env = GrowthEnvelope(1.0, 1.0, 0.5, t_star=1.0)
+    w = _block_weights(2, res.zeta, res.eps)
+    e = np.array([eval_growth(env, "plus", res.tau, float(t)) for t in res.times])
+    assert res.times[0] == 0.0 and np.any(res.times < 1.0) and np.any(res.times > 1.0)
+    ref = float(np.max(np.abs(res.samples) / (w * e[:, None, None])))
+    assert abs(verify_upper_bound(res, env).max_ratio - ref) <= 1e-15 * ref
 
 
 def test_envelope_sanity_inversion_detected():

@@ -25,3 +25,12 @@ def test_bench_pairs_verdicts():
     # higher-is-better metrics win the other way
     assert verdict(parent, [0.60] * 10, 0.25, "higher") == "regressed"
     assert verdict(parent, [1.40] * 10, 0.25, "higher") == "gain shown"
+
+
+def test_bench_pairs_refusal():
+    # exit 1 on a regressed end-to-end verdict or on more failed operations
+    refusal = bench_pairs.refusal
+    fine = {"setup_s": "within bound", "wall_s": "gain shown", "peak_rss_mb": "unresolved"}
+    assert refusal(fine, [(0, 0), (2, 1)]) is None
+    assert refusal({**fine, "peak_rss_mb": "regressed"}, [(0, 0)]) == "regressed: peak_rss_mb"
+    assert "pairs [2]" in refusal(fine, [(0, 0), (0, 1), (3, 3)])

@@ -16,7 +16,8 @@ BENCHMARK.json; and last whether the two physics lines were
 byte-identical in every pair, or else, for the first pair that differs, the
 largest relative difference over the numeric leaves, with its key and both
 values, and every non-numeric difference (a changed string, flag or None, a
-missing key, a list of another length).
+missing key, a list of another length).  It exits 1 when the change would be
+refused (see `refusal`) and 0 otherwise, and says which rule it applied.
 """
 
 from __future__ import annotations
@@ -111,6 +112,23 @@ def verdict(old: list, new: list, bound: float, better: str) -> str:
     return "within bound"
 
 
+def refusal(verdicts: dict, failed: list) -> str | None:
+    """Why the change would be refused, or None if it would not.
+
+    `verdicts` maps each end-to-end metric to its `verdict`; `failed` holds
+    one (parent, change) count of failed operations per pair.  A change is
+    refused when a verdict reads "regressed" or when it failed more
+    operations than the parent in any pair.
+    """
+    worse = [name for name, v in verdicts.items() if v == "regressed"]
+    if worse:
+        return "regressed: " + ", ".join(worse)
+    more = [i + 1 for i, (old, new) in enumerate(failed) if new > old]
+    if more:
+        return f"the change failed more operations than the parent in pairs {more}"
+    return None
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -144,14 +162,16 @@ def main(argv=None) -> int:
               flush=True)
 
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs, parent / change:")
+    verdicts = {}
     for name, meta in results[0]["parent"]["metrics"].items():
         old = [r["parent"]["metrics"][name]["value"] for r in results]
         new = [r["change"]["metrics"][name]["value"] for r in results]
         q1, _, q3 = statistics.quantiles(old, n=4) if len(old) > 1 else (old[0],) * 3
         lower = sum(b < a for a, b in zip(old, new))
         entry = bounds.get(name)
-        tail = "" if entry is None else \
-            f": {verdict(old, new, entry['bound'], entry['better'])} (bound {entry['bound']:g})"
+        if entry is not None:
+            verdicts[name] = verdict(old, new, entry["bound"], entry["better"])
+        tail = "" if entry is None else f": {verdicts[name]} (bound {entry['bound']:g})"
         print(f"  {name} [{meta['unit']}]: medians {statistics.median(old):.4g} / "
               f"{statistics.median(new):.4g}, parent quartiles {q1:.4g}-{q3:.4g}, "
               f"change lower in {lower} of {len(results)}{tail}")
@@ -166,6 +186,13 @@ def main(argv=None) -> int:
               f"{differ[0] + 1}:")
         for line in describe_differences(old, new):
             print(f"    {line}")
+    reason = refusal(verdicts, [(r["parent"]["failed"], r["change"]["failed"])
+                                for r in results])
+    if reason is not None:
+        print(f"refused, exit 1: {reason}")
+        return 1
+    print("not refused, exit 0: no end-to-end verdict reads regressed and the change "
+          "failed no more operations than the parent in any pair")
     return 0
 
 
