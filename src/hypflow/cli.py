@@ -16,6 +16,7 @@ import os
 import sys
 
 import numpy as np
+from scipy import special
 
 from . import __version__, airy, branching, examples, pde_sim, semiclassical
 from . import symbolic_flow as sflow
@@ -193,14 +194,18 @@ def cmd_airy(args) -> int:
     cfg = {"t_max": args.t_max, "points": args.points}
     header = canonical_config(cfg)
     ts = np.linspace(0.0, args.t_max, args.points)
-    rows = []
-    for t in ts:
-        v = airy.airy_ai(t)
-        env = airy.airy_envelope(0.0, t)
-        z12 = abs(airy.vector_airy(0.0, t).Z[0, 1])
-        w = airy.wronskian(min(t, 10.0))
-        rows.append((float(t), v.ai.real, z12 / env,
-                     abs(w - airy.WRONSKIAN_CONST) / abs(airy.WRONSKIAN_CONST)))
+    ms = np.minimum(ts, 10.0)
+    # one array call: Ai and Ai' at t, j t, min(t, 10), j min(t, 10) and 0 = j 0
+    ai, aip, _, _ = special.airy(np.concatenate([ts, airy.J * ts, ms, airy.J * ms, [0.0]]))
+    v_t, v_jt, v_m, v_jm = (airy.AiryValue(a, b) for a, b in
+                            zip(np.split(ai[:-1], 4), np.split(aip[:-1], 4)))
+    v0 = airy.AiryValue(ai[-1], aip[-1])
+    z, w0 = airy._z_parts(v0, v0, v_t, v_jt)           # W(0) Z(0;t) row by row, W(0)
+    w = airy._z_parts(v_m, v_jm, v0, v0)[1]            # W(min(t, 10))
+    env = [airy.airy_envelope(0.0, t) for t in ts.tolist()]
+    dev = np.abs(w - airy.WRONSKIAN_CONST) / abs(airy.WRONSKIAN_CONST)
+    rows = zip(ts.tolist(), v_t.ai.real.tolist(), (np.abs(z[1] / w0) / env).tolist(),
+               dev.tolist())
     path = _out_path(args, "airy.csv")
     _write_csv(path, header, ["t", "Ai", "lower_envelope_ratio", "wronskian_dev"], rows)
     rep = airy.verify_airy_bounds(np.linspace(0.0, min(args.t_max, 20.0), 21))
@@ -300,6 +305,8 @@ def cmd_quantize_check(args) -> int:
 
 def cmd_simulate(args) -> int:
     ladder = _parse_ladder(args.eps_ladder)
+    if not args.length > 0:
+        raise ConfigError(f"--length {args.length:g}: the periodic box needs a positive length")
     bundle, cl = _classified(args)
     control = args.control
     target = examples.get_state("symmetric-control", "default") if control else bundle

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .classifier import PERSISTENT, INDETERMINATE
 from .semiclassical import (Grid1D, GridFunction, WavePacketSpec, _fast_grid_len,
-                            build_wavepacket, sobolev_norm)
+                            build_wavepacket, save_grid_function, sobolev_norm)
 from .symbolic_flow import _adaptive_rk4
 from .system_model import SystemSpec
 
@@ -35,8 +36,9 @@ from .system_model import SystemSpec
 
 @dataclass
 class SolverConfig:
-    """Time-stepping parameters; construction enforces the CFL-type bound
-    dt * max_speed * n / length <= 0.5.
+    """Time-stepping parameters for a run on a grid of `n` nodes; the box
+    length is the grid's.  Both solvers refuse a grid of another node count,
+    and a run that breaks the CFL-type bound dt * max_speed * n / length <= 0.5.
 
     `max_speed` bounds the spectral radius of A(u) over every field the run
     may reach, so `dt` is safe up to the breakdown stop.  `evolve` takes
@@ -49,16 +51,9 @@ class SolverConfig:
     dt: float
     t_final: float
     max_speed: float
-    length: float = 2.0 * np.pi
     filter_strength: float = 36.0
     linf_cap: float = np.inf
     sample_count: int = 60
-
-    def __post_init__(self):
-        if self.dt * self.max_speed * self.n / self.length > 0.5 + 1e-12:
-            raise ValueError(
-                f"CFL violated: dt*max_speed*n/L = "
-                f"{self.dt * self.max_speed * self.n / self.length:.3f} > 0.5")
 
 
 @dataclass(frozen=True)
@@ -69,13 +64,13 @@ class BreakdownInfo:
 
 @dataclass
 class Trajectory:
-    times: np.ndarray
-    states: np.ndarray          # (m, N, n)
-    breakdown: Optional[BreakdownInfo] = None
+    """Where a run stopped: the time, the (N, n) field there, and the
+    breakdown that stopped it early, if any.  Samples along the way reach
+    callers only through the observer."""
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
+    t_stop: float
+    final: np.ndarray
+    breakdown: Optional[BreakdownInfo] = None
 
 
 def _tail_weights(n: int) -> tuple[np.ndarray, slice]:
@@ -111,8 +106,7 @@ def breakdown_detector(values: np.ndarray, vh: np.ndarray, cfg: SolverConfig,
 
 def _march(rhs: Callable, state: np.ndarray, grid: Grid1D, cfg: SolverConfig,
            values: Callable, filter_k: np.ndarray | None, check: Callable,
-           observer: Callable | None, store_states: bool,
-           step_bound: Callable | None) -> Trajectory:
+           observer: Callable | None, step_bound: Callable | None) -> Trajectory:
     """RK4 for d_t state = rhs(t, values(state)), 0 <= t <= t_final.
 
     The run lands exactly on the sample times t_j = j * t_final / (m - 1),
@@ -126,19 +120,25 @@ def _march(rhs: Callable, state: np.ndarray, grid: Grid1D, cfg: SolverConfig,
     sample_count = 2 takes t_final / ceil(t_final / cfg.dt) steps.
     `values(state)` is a stack whose first entry is the (N, n) grid values;
     after a step it also feeds `check(values, state)`, whose non-None verdict
-    stops the run as the breakdown, and `observer(t, values)`, called at t = 0
-    and at every sample time.  A step that ends in a breakdown other than
-    "nan" is bisected four times from its start, so the run stops at the
-    first breakdown state to within a sixteenth of the step: a quantity
+    stops the run as the breakdown, and `observer(t, values)`, called at t = 0,
+    at every sample time and at a finite breakdown state: the only way a
+    caller reads the run before its stop.  A step that ends in a breakdown
+    other than "nan" is bisected four times from its start, so the run stops
+    at the first breakdown state to within a sixteenth of the step: a quantity
     read at the stop (the instability ratio at the L-infinity cap) then
     moves by at most a sixteenth of one step's growth with the step grid.
     A state of Fourier coefficients at wavenumbers `filter_k` (None:
     physical space) is multiplied after each step of length dt by
     exp(-filter_strength dt (k / kmax)^16), a damping rate per unit time at
     the top mode, so the step leaves the filtered dynamics unchanged; its
-    order is 8.
+    order is 8.  A `cfg` for another node count than the grid's, or one
+    that breaks the CFL-type bound on the grid's box, is a ValueError.
     """
-    n = grid.n
+    if cfg.n != grid.n:
+        raise ValueError("grid/config node count mismatch")
+    cfl = cfg.dt * cfg.max_speed * cfg.n / grid.length
+    if cfl > 0.5 + 1e-12:
+        raise ValueError(f"CFL violated: dt*max_speed*n/L = {cfl:.3f} > 0.5")
     n_int = max(1, cfg.sample_count - 1)
     profile = None
     if filter_k is not None and cfg.filter_strength > 0:
@@ -162,8 +162,6 @@ def _march(rhs: Callable, state: np.ndarray, grid: Grid1D, cfg: SolverConfig,
         return state, values(state)
 
     w = values(state)
-    times = [0.0]
-    states = [w[0].copy()] if store_states else []
     if observer is not None:
         observer(0.0, w[0])
     breakdown = None
@@ -195,27 +193,21 @@ def _march(rhs: Callable, state: np.ndarray, grid: Grid1D, cfg: SolverConfig,
             if reason is not None:
                 breakdown = BreakdownInfo(t_new, reason)
             t, state, w = t_new, new, w_new
-        times.append(t)
-        if store_states:
-            states.append(w[0].copy())
         if observer is not None and np.all(np.isfinite(w[0])):
             observer(t, w[0])
         if breakdown is not None:
             break
-    return Trajectory(np.asarray(times),
-                      np.asarray(states) if store_states else np.zeros((0, state.shape[0], n)),
-                      breakdown)
+    return Trajectory(t, w[0], breakdown)
 
 
 def evolve(sys: SystemSpec, u0: GridFunction, cfg: SolverConfig,
-           observer: Callable | None = None,
-           store_states: bool = True) -> Trajectory:
+           observer: Callable | None = None) -> Trajectory:
     """Nonlinear evolution d_t u + A(u) d_x u = F(u) (one space dimension).
 
     The state is the rfft of the (N, n) field.  The nonlinear term is dealiased
     by the 2/3 rule; the state is filtered each step and checked by
-    `breakdown_detector`.  `observer(t, values)` gets the (N, n) field,
-    letting callers record reduced observables without storing full snapshots.
+    `breakdown_detector`.  `observer(t, values)` gets the (N, n) field at
+    every sample time (see `_march`); the wavenumbers are the grid's.
 
     Each step's target is max(cfg.dt, (2/3) cfg.dt cfg.max_speed / s(u)) for
     the field u it steps, s(u) = 1.2 max_x ||A(u(x))||_inf: the row-sum norm
@@ -228,10 +220,8 @@ def evolve(sys: SystemSpec, u0: GridFunction, cfg: SolverConfig,
         raise ValueError("evolve supports one space dimension")
     grid = u0.grid
     n = grid.n
-    if n != cfg.n:
-        raise ValueError("grid/config node count mismatch")
     xs = grid.nodes
-    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=cfg.length / n)
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.dx)
     ik = 1j * k
     deal = np.arange(k.size) <= n // 3
     flux = sys.fluxes_vec[0]
@@ -259,7 +249,7 @@ def evolve(sys: SystemSpec, u0: GridFunction, cfg: SolverConfig,
 
     return _march(rhs, vh0, grid, cfg, values, k,
                   lambda v, vh: breakdown_detector(v, vh, cfg, k2, tail),
-                  observer, store_states, step_bound)
+                  observer, step_bound)
 
 
 def evolve_linearized(gen: Callable, v0: GridFunction, cfg: SolverConfig) -> Trajectory:
@@ -282,7 +272,7 @@ def evolve_linearized(gen: Callable, v0: GridFunction, cfg: SolverConfig) -> Tra
     return _march(rhs, v0.values.T.astype(complex).copy(), grid, cfg,
                   lambda w: (w,), None,
                   lambda w, _: None if np.all(np.isfinite(w)) else "nan",
-                  None, True, None)
+                  None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +297,8 @@ class HadamardParams:
     def __post_init__(self):
         if not (0.5 < self.alpha <= 1.0):
             raise ValueError("alpha must lie in (1/2, 1]")
+        if not self.delta > 0:
+            raise ValueError(f"ball radius delta = {self.delta:g} must be positive")
         lhs = (2 * self.alpha - 1) * self.K
         rhs = 2 * self.alpha * self.m + (1 - self.alpha) * (1 - self.h)
         if not lhs > rhs:
@@ -428,18 +420,18 @@ def run_instability_experiment(sys: SystemSpec, phi, classification,
     vector), evolves to eps^h T(eps), and reports the Hoelder ratio, the fitted
     packet growth exponent, and breakdowns (which count as instability
     findings, not failures).  The box must be a period of phi(0), else
-    BoxLengthError.  Without `phi_traj_vec`, phi is evolved on the grid, and
-    an observation past that reference run's breakdown is a RuntimeError.
-    `control=True` runs a stable system through the identical pipeline,
-    borrowing the scales in `params`.  The grid has the
-    fewest nodes, an even 2^a 3^b 5^c count (at least 16), that give the
-    carrier at least 8 nodes per oscillation and the observation ball at least
-    16 nodes; the filter has order 8, and the observer samples at the 60
-    times j t_final / 59 and at the breakdown.  The configured step
-    dt_safety * 0.45 length / (n speed), speed = 1.2 (max|phi0| + 1 + cap),
-    is safe for every field below the cap; `evolve` steps longer while the
-    field allows, at a CFL number of 0.3 dt_safety against its own flux.
-    The ratio at an L-infinity-cap stop is read at the first state past the
+    BoxLengthError.  Without `phi_traj_vec`, phi is evolved on the grid and
+    recorded at its sample times by an observer, and an observation past
+    that reference run's breakdown is a RuntimeError.  `control=True` runs a
+    stable system through the identical pipeline, borrowing the scales in
+    `params`.  The grid has the fewest nodes, an even 2^a 3^b 5^c count (at
+    least 16), that give the carrier at least 8 nodes per oscillation and the
+    observation ball at least 16 nodes; the filter has order 8, and the
+    observer samples at the 60 times j t_final / 59 and at the breakdown.
+    The configured step dt_safety * 0.45 length / (n speed), speed = 1.2
+    (max|phi0| + 1 + cap), is safe for every field below the cap; `evolve`
+    steps longer while the field allows, at a CFL number of 0.3 dt_safety
+    against its own flux.  The ratio at an L-infinity-cap stop is read at the first state past the
     cap, located to a sixteenth of a step, so it is set only to within that
     much of one step's growth past the cap.  The run draws no random
     numbers, so it needs no seed.
@@ -477,21 +469,21 @@ def run_instability_experiment(sys: SystemSpec, phi, classification,
         dt = dt_safety * dt_nominal
         # filter_strength is quoted per nominal step; SolverConfig wants a rate
         cfg = SolverConfig(n=n, dt=dt, t_final=t_final, max_speed=speed,
-                           length=length, filter_strength=filter_strength / dt_nominal,
+                           filter_strength=filter_strength / dt_nominal,
                            linf_cap=cap)
         if phi_traj_vec is not None:
             def phi_at(t):
                 return np.asarray(phi_traj_vec(t, xs)).T
         else:
-            phi_traj = evolve(sys, GridFunction(grid, phi0.T), cfg)
+            ref = {}        # the reference's samples by time
+            stop = evolve(sys, GridFunction(grid, phi0.T), cfg,
+                          observer=lambda t, vals: ref.update({t: vals.copy()})).breakdown
 
             def phi_at(t):
-                stop = phi_traj.breakdown
                 if stop is not None and t > stop.time:
                     raise RuntimeError(f"the reference run broke down ({stop.reason}) at "
                                        f"t = {stop.time:.6g}, before t = {t:.6g}")
-                idx = int(np.argmin(np.abs(phi_traj.times - t)))
-                return phi_traj.states[idx]
+                return ref[min(ref, key=lambda s: abs(s - t))]      # the nearest sample
 
         obs_times, ball_norms, amps = [], [], []
         last_state = {}
@@ -504,24 +496,21 @@ def run_instability_experiment(sys: SystemSpec, phi, classification,
             ball_norms.append(w1inf_ball(diff, ik, ball))
             amps.append(float(np.max(np.abs(diff[:, ball]))))
             if dump_dir is not None:
-                last_state["t"] = t
                 last_state["vals"] = vals.copy()
 
-        traj = evolve(sys, u0, cfg, observer=observer, store_states=False)
+        traj = evolve(sys, u0, cfg, observer=observer)
         if dump_dir is not None:
-            from .semiclassical import save_grid_function
-            import os as _os
-            _os.makedirs(dump_dir, exist_ok=True)
+            os.makedirs(dump_dir, exist_ok=True)
             tag = f"{sys.name}_eps{eps:g}"
-            save_grid_function(u0, _os.path.join(dump_dir, f"{tag}_t0.hypgrid"))
+            save_grid_function(u0, os.path.join(dump_dir, f"{tag}_t0.hypgrid"))
             save_grid_function(GridFunction(grid, last_state["vals"].T),
-                               _os.path.join(dump_dir, f"{tag}_final.hypgrid"))
+                               os.path.join(dump_dir, f"{tag}_final.hypgrid"))
         den = sobolev_norm(GridFunction(grid, np.real(packet.values)),
                            params.m) ** params.alpha
         num = float(np.max(ball_norms))
         gfit = _fit_growth_exponent(obs_times, amps, ell, eps, cap)
         rows.append(HadamardRow(
-            eps, params.T_eps(eps), float(traj.times[-1]), num, den,
+            eps, params.T_eps(eps), traj.t_stop, num, den,
             num / den if den > 0 else np.inf, gfit, gamma,
             traj.breakdown.time if traj.breakdown else None,
             traj.breakdown.reason if traj.breakdown else None, n))
@@ -724,7 +713,7 @@ def free_solution_compare(sys: SystemSpec, phi, eps: float, classification,
     speed = eps ** (h - 1.0) * 1.2 * (amax + 0.1)
     dt = dt_safety * 0.5 * length / (n * speed)
     cfg = SolverConfig(n=n, dt=dt, t_final=tau_end, max_speed=speed,
-                       length=length, filter_strength=0.0, sample_count=2)
+                       filter_strength=0.0, sample_count=2)
     traj = evolve_linearized(gen, v0, cfg=cfg)
     if traj.breakdown is not None:
         raise RuntimeError(f"linearized run broke down ({traj.breakdown.reason}) "

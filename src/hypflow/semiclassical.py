@@ -83,9 +83,6 @@ class GridFunction:
     def l2_norm(self) -> float:
         return float(np.sqrt(self.grid.dx * np.sum(np.abs(self.values) ** 2)))
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
-
 
 def save_grid_function(u: GridFunction, path: str) -> None:
     """Binary container: magic, version, N, n, L, x_left, complex128 payload."""

@@ -2,9 +2,10 @@ import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hypflow import pde_sim
+from hypflow import airy, pde_sim
 from hypflow.branching import growth_rate
 from hypflow.classifier import classify
 from hypflow.cli import (EXIT_BREAKDOWN, EXIT_CONFIG, EXIT_OK, _bundle_from_args,
@@ -237,6 +238,24 @@ def test_airy_command_headers_and_wronskian(capsys, tmp_path):
     assert max(devs) < 1e-8
 
 
+def test_airy_table_matches_the_per_row_closed_forms(capsys, tmp_path):
+    # the table comes from one array call of Ai; row by row it is Ai(t),
+    # |Z(0;t)_12| / e_Ai(0;t) and the Wronskian's deviation at min(t, 10)
+    for extra in ([], ["--points", "9"]):
+        code, _, err = run(["airy", "--out", str(tmp_path)] + extra, capsys)
+        assert code == EXIT_OK, err
+        lines = [line for line in (tmp_path / "airy.csv").read_text().splitlines()
+                 if not line.startswith("#")]
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert len(table) == (9 if extra else 81)
+        for t, ai, ratio, dev in table:
+            w = airy.wronskian(min(t, 10.0))
+            ratio_row = abs(airy.vector_airy(0.0, t).Z[0, 1]) / airy.airy_envelope(0.0, t)
+            assert abs(ai - airy.airy_ai(t).ai.real) <= 1e-14 * abs(ai)
+            assert abs(ratio - ratio_row) <= 1e-14 * ratio_row
+            assert abs(dev - abs(w - airy.WRONSKIAN_CONST) / abs(airy.WRONSKIAN_CONST)) <= 1e-15
+
+
 def test_airy_t_max_zero_gives_the_vacuous_fits(capsys, tmp_path):
     # a grid with no positive point: c_lower = inf, and the command succeeds
     code, out, _ = run(["airy", "--t-max", "0", "--points", "3", "--out", str(tmp_path)],
@@ -328,9 +347,15 @@ def test_simulate_kgz_witness_runs(capsys, tmp_path):
     (["flow", "--T-star", "-1"], "must be positive"),
     (["flow", "--T-star", "0"], "must be positive"),
     (["flow", "--model-f0", "-1"], "f0 > 0"),
+    (["simulate", "--example", "burgers1d", "--delta", "-1"], "delta = -1 must be positive"),
+    (["simulate", "--example", "burgers1d", "--delta", "0"], "delta = 0 must be positive"),
+    (["simulate", "--example", "burgers1d", "--length", "-3.14"], "positive length"),
+    (["simulate", "--example", "burgers1d", "--length", "0"], "positive length"),
 ], ids=["kgz-sonic", "unknown-state", "hadamard-gate", "bad-ladder",
         "airy-t-max-high", "airy-t-max-negative", "airy-points",
-        "flow-T-star-negative", "flow-T-star-zero", "flow-model-f0-negative"])
+        "flow-T-star-negative", "flow-T-star-zero", "flow-model-f0-negative",
+        "simulate-delta-negative", "simulate-delta-zero", "simulate-length-negative",
+        "simulate-length-zero"])
 def test_user_input_checks_are_config_errors(capsys, monkeypatch, argv, needle):
     seen = _capture_simulate(monkeypatch)
     code, _, err = run(argv, capsys)

@@ -18,7 +18,8 @@ from hypflow.pde_sim import (BoxLengthError, HadamardParams, SolverConfig,
                              _tail_weights, _wrap_dist, breakdown_detector, evolve,
                              evolve_linearized, free_solution_compare,
                              run_instability_experiment, w1inf_ball)
-from hypflow.semiclassical import Grid1D, GridFunction, WavePacketSpec, build_wavepacket
+from hypflow.semiclassical import (Grid1D, GridFunction, WavePacketSpec, build_wavepacket,
+                                   load_grid_function)
 from hypflow.system_model import Domain, ReferenceSolution, SystemSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -59,6 +60,13 @@ def constant_symmetric():
     return SystemSpec("const_sym", 1, 2, (a1,), src, fluxes_vec=(a1v,), source_vec=srcv)
 
 
+def _sampled(sys, u0, cfg):
+    """evolve with an observer that keeps every sample: (trajectory, times, fields)."""
+    times, fields = [], []
+    traj = evolve(sys, u0, cfg, observer=lambda t, v: (times.append(t), fields.append(v.copy())))
+    return traj, np.asarray(times), fields
+
+
 def test_traveling_wave_l2_conserved():
     sysc = constant_symmetric()
     n = 256
@@ -67,13 +75,29 @@ def test_traveling_wave_l2_conserved():
     vals = np.outer(np.cos(3 * grid.nodes), evec)
     u0 = GridFunction(grid, vals)
     cfg = SolverConfig(n=n, dt=2e-3, t_final=1.0, max_speed=1.0, sample_count=5)
-    traj = evolve(sysc, u0, cfg)
+    traj, times, fields = _sampled(sysc, u0, cfg)
     assert traj.breakdown is None
-    l2 = [np.sqrt(grid.dx * np.sum(s ** 2)) for s in traj.states]
+    l2 = [np.sqrt(grid.dx * np.sum(s ** 2)) for s in fields]
     assert abs(l2[-1] - l2[0]) <= 1e-6 * l2[0]
     # and the profile is the initial one advected by 0.7 t
-    shift = np.outer(np.cos(3 * (grid.nodes - 0.7 * traj.times[-1])), evec)
-    assert np.max(np.abs(traj.states[-1].T - shift)) < 1e-4
+    shift = np.outer(np.cos(3 * (grid.nodes - 0.7 * times[-1])), evec)
+    assert np.max(np.abs(fields[-1].T - shift)) < 1e-4
+    assert traj.t_stop == times[-1] and np.array_equal(traj.final, fields[-1])
+
+
+def test_traveling_wave_takes_its_box_from_the_grid():
+    # on a pi box a default SolverConfig once took the wavenumbers of a 2 pi
+    # box, so every derivative was halved and the wave moved at half speed
+    sysc = constant_symmetric()
+    n = 256
+    grid = Grid1D(n, np.pi)
+    evec = np.array([1.0, 1.0]) / np.sqrt(2)   # eigenvector, speed 0.7
+    u0 = GridFunction(grid, np.outer(np.cos(6 * grid.nodes), evec))
+    cfg = SolverConfig(n=n, dt=1e-3, t_final=0.5, max_speed=1.0, sample_count=2)
+    traj = evolve(sysc, u0, cfg)
+    assert traj.breakdown is None and traj.t_stop == 0.5
+    shift = np.outer(np.cos(6 * (grid.nodes - 0.7 * 0.5)), evec)
+    assert np.max(np.abs(traj.final.T - shift)) < 1e-4
 
 
 def test_scalar_burgers_characteristics():
@@ -94,7 +118,7 @@ def test_scalar_burgers_characteristics():
             fp = 1.0 + 0.2 * np.cos(xc) * t_end
             xc -= f / fp
         exact[i] = u0f(xc)
-    assert np.max(np.abs(traj.states[-1][0] - exact)) < 1e-5
+    assert np.max(np.abs(traj.final[0] - exact)) < 1e-5
 
 
 def test_kgz_alpha0_stable():
@@ -107,7 +131,7 @@ def test_kgz_alpha0_stable():
                        linf_cap=5.0)
     traj = evolve(sysk, GridFunction(grid, vals), cfg)
     assert traj.breakdown is None
-    assert np.max(np.abs(traj.states[-1])) < 1.0
+    assert np.max(np.abs(traj.final)) < 1.0
 
 
 def test_breakdown_detector_cases():
@@ -154,8 +178,8 @@ def test_evolve_transform_budget(monkeypatch):
     grid = Grid1D(n, 2 * np.pi)
     u0 = GridFunction(grid, (0.5 + 0.2 * np.sin(grid.nodes)).reshape(-1, 1))
     cfg = SolverConfig(n=n, dt=1e-2, t_final=0.2, max_speed=0.8, sample_count=3)
-    traj = evolve(sysb, u0, cfg, store_states=False)
-    assert traj.breakdown is None and traj.times[-1] == pytest.approx(0.2)
+    traj = evolve(sysb, u0, cfg)
+    assert traj.breakdown is None and traj.t_stop == pytest.approx(0.2)
     assert len(calls) <= 9 * 20
 
 
@@ -181,26 +205,25 @@ def test_evolve_sizes_steps_from_the_field(monkeypatch):
     ctrl = get_state("symmetric-control", "default")
     params = HadamardParams(K=3.0, alpha=1.0, m=1.25, delta=0.7, T_star=9.0,
                             h=0.5, gamma_minus=0.5)
-    cfgs = []
-    monkeypatch.setattr(pde_sim, "evolve",
-                        lambda sys, u0, cfg, **kw: cfgs.append(cfg) or evolve(sys, u0, cfg, **kw))
+    runs = []
+    monkeypatch.setattr(pde_sim, "evolve", lambda sys, u0, cfg, **kw:
+                        runs.append((u0.grid, cfg)) or evolve(sys, u0, cfg, **kw))
     run_instability_experiment(ctrl.sys, ctrl.phi, None, params, [10 ** -2.5],
                                e_vec=ctrl.e_vec, phi_traj_vec=ctrl.phi_traj_vec,
                                length=np.pi / 2.0, linf_cap=1.0, control=True)
-    (cfg,) = cfgs
+    ((grid, cfg),) = runs
     calls = []
 
     def flux(t, xs, us):
         calls.append(1)
         return ctrl.sys.fluxes_vec[0](t, xs, us)
 
-    grid = Grid1D(cfg.n, cfg.length, x_left=-cfg.length / 2.0)
     phi0 = np.asarray(ctrl.phi_traj_vec(0.0, grid.nodes))
-    traj = evolve(dataclasses.replace(ctrl.sys, fluxes_vec=(flux,)),
-                  GridFunction(grid, phi0), cfg, store_states=False)
+    traj, times, _ = _sampled(dataclasses.replace(ctrl.sys, fluxes_vec=(flux,)),
+                              GridFunction(grid, phi0), cfg)
     m = cfg.sample_count
     assert traj.breakdown is None
-    np.testing.assert_array_equal(traj.times, cfg.t_final * np.arange(m) / (m - 1))
+    np.testing.assert_array_equal(times, cfg.t_final * np.arange(m) / (m - 1))
     assert 3 * len(calls) <= 4 * math.ceil(cfg.t_final / cfg.dt)
 
 
@@ -269,13 +292,16 @@ def test_linearized_elliptic_amplitude_law():
     n = 1 << 10
     grid = Grid1D(n, 2 * np.pi, x_left=-np.pi)
     v0 = _packet(grid, eps, h, (1j, 1.0))
-    t_end = 3.0 * eps
-    cfg = SolverConfig(n=n, dt=eps / 300, t_final=t_end, max_speed=1.0,
-                       filter_strength=0.0, sample_count=30)
     k0 = int(round(1.0 / eps))
-    traj = evolve_linearized(_flux_gen(sysb, phi_vec, grid), v0, cfg)
-    amps = [_band_amplitude(vals, grid, k0, 12) for vals in traj.states]
-    slope = np.polyfit(traj.times / eps, np.log(amps), 1)[0]
+    gen = _flux_gen(sysb, phi_vec, grid)
+    # the run hands out only its final field: one run to each end time
+    times = 3.0 * eps * np.arange(7) / 6
+    amps = [_band_amplitude(v0.values.T, grid, k0, 12)]
+    for t_end in times[1:]:
+        cfg = SolverConfig(n=n, dt=eps / 300, t_final=t_end, max_speed=1.0,
+                           filter_strength=0.0, sample_count=2)
+        amps.append(_band_amplitude(evolve_linearized(gen, v0, cfg).final, grid, k0, 12))
+    slope = np.polyfit(times / eps, np.log(amps), 1)[0]
     assert abs(slope - 0.3) <= 0.05 * 0.3
 
 
@@ -340,15 +366,18 @@ def test_experiment_refuses_a_box_that_is_not_a_period():
 
 def test_experiment_raises_past_the_reference_breakdown(monkeypatch, tmp_path):
     # a witness has no closed-form trajectory, so phi is evolved on the grid;
-    # past that run's breakdown phi_at used to serve its last stored state
+    # past that run's breakdown phi_at used to serve its last stored state.
+    # Each rung evolves its reference first, then the experiment
     real = pde_sim.evolve
+    calls = []
 
-    def reference_breaks_at_first_sample(sys, u0, cfg, observer=None, **kw):
-        traj = real(sys, u0, cfg, observer=observer, **kw)
-        if observer is not None:
+    def reference_breaks_at_first_sample(sys, u0, cfg, **kw):
+        calls.append(1)
+        traj = real(sys, u0, cfg, **kw)
+        if len(calls) % 2 == 0:
             return traj
-        return pde_sim.Trajectory(traj.times[:2], traj.states[:2],
-                                  pde_sim.BreakdownInfo(float(traj.times[1]), "linf_cap"))
+        t1 = cfg.t_final / (cfg.sample_count - 1)
+        return pde_sim.Trajectory(t1, traj.final, pde_sim.BreakdownInfo(t1, "linf_cap"))
     monkeypatch.setattr(pde_sim, "evolve", reference_breaks_at_first_sample)
     b = get_state("vdw", "witness")
     cl = classify(b.sys, b.phi, b.search_region)
@@ -377,6 +406,38 @@ def test_ratio_dt_convergence():
             dt_safety=dt_safety)
         ratios.append(rep.rows[0].ratio)
     assert abs(ratios[1] - ratios[0]) <= 0.02 * ratios[0]
+
+
+def test_experiment_dumps_the_datum_and_the_last_observed_field(monkeypatch, tmp_path):
+    # criterion 8's 1e-2 rung with dump_dir: the datum, and the field of the
+    # run's last observation (here the linf_cap stop)
+    b = get_state("burgers1d", "semisimple")
+    cl = classify(b.sys, b.phi, b.search_region)
+    params = HadamardParams(K=3.0, alpha=1.0, m=1.25, delta=0.7, T_star=9.0,
+                            h=0.5, gamma_minus=0.5)
+    last = {}
+
+    def watched(sys, u0, cfg, observer, **kw):
+        def seen(t, vals):
+            last.update(t=t, vals=vals.copy())
+            observer(t, vals)
+        return evolve(sys, u0, cfg, observer=seen, **kw)
+    monkeypatch.setattr(pde_sim, "evolve", watched)
+    (row,) = run_instability_experiment(
+        b.sys, b.phi, cl, params, [1e-2], e_vec=b.e_vec, phi_traj_vec=b.phi_traj_vec,
+        length=np.pi / 2.0, linf_cap=1.0, dump_dir=str(tmp_path)).rows
+    grid = Grid1D(row.n_nodes, np.pi / 2.0, x_left=-np.pi / 4.0)
+    spec = WavePacketSpec(K=3.0, xi0=1.0, x0=0.0, eps=1e-2, h=0.5, delta=0.7,
+                          e_vec=np.asarray(b.e_vec))
+    datum = (np.asarray(b.phi_traj_vec(0.0, grid.nodes))
+             + np.real(build_wavepacket(spec, grid, frame="original").values))
+    t0 = load_grid_function(str(tmp_path / "burgers1d_eps0.01_t0.hypgrid"))
+    final = load_grid_function(str(tmp_path / "burgers1d_eps0.01_final.hypgrid"))
+    assert t0.grid == grid == final.grid
+    np.testing.assert_array_equal(t0.values, datum)
+    assert row.breakdown_reason == "linf_cap"
+    assert last["t"] == row.t_final == row.breakdown_time
+    np.testing.assert_array_equal(final.values, last["vals"].T)
 
 
 def test_free_solution_smoke_and_sanity():
@@ -596,8 +657,7 @@ def test_free_solution_raises_on_linearized_breakdown():
                        filter_strength=0.0, sample_count=2)
     traj = evolve_linearized(_flux_gen(sysn, phiv, grid), v0, cfg)
     assert traj.breakdown is not None and traj.breakdown.reason == "nan"
-    assert traj.times[-1] == traj.breakdown.time == pytest.approx(1e-4)
-    assert len(traj.states) == len(traj.times) == 2
+    assert traj.t_stop == traj.breakdown.time == pytest.approx(1e-4)
     assert not np.all(np.isfinite(traj.final))
 
     with pytest.raises(RuntimeError, match="broke down"):
@@ -606,5 +666,30 @@ def test_free_solution_raises_on_linearized_breakdown():
 
 
 def test_solver_config_cfl_gate():
-    with pytest.raises(ValueError, match="CFL"):
-        SolverConfig(n=1024, dt=1e-2, t_final=1.0, max_speed=2.0)
+    # both solvers check dt * max_speed * n / length <= 0.5 against the box
+    # of the grid they run on: 3.26 on a 2 pi box, 0.41 on a 16 pi one
+    n = 1024
+    cfg = SolverConfig(n=n, dt=1e-2, t_final=0.02, max_speed=2.0, filter_strength=0.0,
+                       sample_count=2)
+    gen = lambda t: np.ones((1, 1, n))
+    for length in (2 * np.pi, 16 * np.pi):
+        grid = Grid1D(n, length)
+        u0 = GridFunction(grid, np.cos(2 * np.pi * grid.nodes / length))
+        if length < 10:
+            with pytest.raises(ValueError, match="CFL violated"):
+                evolve(scalar_burgers(), u0, cfg)
+            with pytest.raises(ValueError, match="CFL violated"):
+                evolve_linearized(gen, u0, cfg)
+        else:
+            assert evolve(scalar_burgers(), u0, cfg).breakdown is None
+            assert evolve_linearized(gen, u0, cfg).breakdown is None
+
+
+def test_solvers_refuse_a_config_for_another_grid():
+    grid = Grid1D(64, 2 * np.pi)
+    u0 = GridFunction(grid, np.cos(grid.nodes))
+    cfg = SolverConfig(n=128, dt=1e-3, t_final=1e-2, max_speed=1.0, filter_strength=0.0)
+    with pytest.raises(ValueError, match="node count mismatch"):
+        evolve(scalar_burgers(), u0, cfg)
+    with pytest.raises(ValueError, match="node count mismatch"):
+        evolve_linearized(lambda t: np.ones((1, 1, 64)), u0, cfg)

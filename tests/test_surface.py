@@ -221,7 +221,7 @@ def test_option_exemptions_are_needed():
 
 # settable values (options and fields with defaults) in src/hypflow; a change
 # that adds or removes one restates this census in its own diff
-SETTABLE_VALUES = 59
+SETTABLE_VALUES = 57
 
 
 def test_settable_value_count():
