@@ -1,10 +1,9 @@
 """Branching data of a coalescing eigenvalue pair and the associated growth rates.
 
-Near a transition point the characteristic polynomial factors as
-(lambda - mu)^2 = -(t - tau_star) e(t,x,xi,lambda): mu_star solves
-dP/dlambda = 0, tau_star solves P(mu_star) = 0 in t, and the e-factor is a
-ratio of two explicit integrals of jet entries.  From these come the
-degeneracy-dependent growth rates gamma+- and the growth envelopes exp(gamma ((t - t*)_+^{l+1} - (tau - t*)_+^{l+1})).
+Near a transition point P factors as (lambda - mu)^2 = -(t - tau_star) e: one
+Newton pass gives mu_star (dP/dlambda = 0) and tau_star (P(mu_star) = 0 in t),
+and at (tau_star, mu) the e-factor is f0 = 2 P_t / P_lamlam.  From these come
+the rates gamma+- and the envelopes exp(gamma ((t - t*)_+^{l+1} - (tau - t*)_+^{l+1})).
 """
 
 from __future__ import annotations
@@ -16,10 +15,6 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .system_model import _richardson, as_field
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_GL01_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL01_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
 class NewtonError(RuntimeError):
@@ -60,13 +55,9 @@ _NEWTON_MAXITER = 50
 _NEWTON_TOL = 1e-11
 
 
-def _dcoeffs_dt(field, t, x, xi):
-    return _richardson(lambda s: field.coeffs(s, x, xi), t, 1e-4)[0]
-
-
-def solve_mu_star(field, t, x, xi, lam_init) -> float:
-    """Newton on lambda -> dP/dlambda(t,x,xi,lambda) starting from lam_init."""
-    c = field.coeffs(t, x, xi)
+def solve_mu_star(c, lam_init) -> float:
+    """Newton on lambda -> dP/dlambda from lam_init, for P with ascending
+    coefficients c."""
     c1 = npoly.polyder(c)
     c2 = npoly.polyder(c, 2)
     lam = float(np.real(lam_init))
@@ -83,61 +74,38 @@ def solve_mu_star(field, t, x, xi, lam_init) -> float:
     raise NewtonError("mu_star Newton did not converge", abs(float(np.real(npoly.polyval(lam, c1)))))
 
 
-def solve_tau_star(field, x, xi, lam_init) -> float:
-    """Newton on t -> P(t, x, xi, mu_star(t,x,xi)), from t = 0 and lam_init.
+def compute_branch_data(sys, phi, x, xi, lam_init) -> BranchData:
+    """Newton on t -> P(t, x, xi, mu_star(t)) from t = 0 and lam_init.
 
-    On the Newton path dP/dlambda(mu_star) = 0, so dP/dt matters alone:
-    g'(t) = P_t(t, x, xi, mu_star(t)).
+    Each iterate takes c(t) and c_t(t) from one Richardson difference and
+    solves mu_star on c(t) from the previous mu, so g'(t) = P_t(t, mu_star).
+    At the converged (tau*, mu) the e-factor is f0 = P_t / (P_lamlam / 2).
     """
+    field = as_field(sys, phi)
     t = 0.0
     mu = float(lam_init)
     for _ in range(_NEWTON_MAXITER):
-        mu = solve_mu_star(field, t, x, xi, mu)
-        g = float(np.real(npoly.polyval(mu, field.coeffs(t, x, xi))))
+        c_t, _, c, _ = _richardson(lambda s: field.coeffs(s, x, xi), t, 1e-4)
+        mu = solve_mu_star(c, mu)
+        g = float(np.real(npoly.polyval(mu, c)))
+        p_t = float(np.real(npoly.polyval(mu, c_t)))
         if abs(g) <= _NEWTON_TOL:
-            if t < -_NEWTON_TOL * 10:
-                warnings.warn(f"tau_star = {t:.3e} < 0: hyperbolicity already violated at t = 0")
-            return t
-        gp = float(np.real(npoly.polyval(mu, _dcoeffs_dt(field, t, x, xi))))
-        if gp == 0.0 or not np.isfinite(gp):
+            break
+        if p_t == 0.0 or not np.isfinite(p_t):
             raise NewtonError("tau_star Newton hit a vanishing time derivative", abs(g))
-        t -= g / gp
+        t -= g / p_t
         if not np.isfinite(t):
             raise NewtonError("tau_star Newton diverged", np.inf)
-    raise NewtonError("tau_star Newton did not converge", abs(g))
-
-
-def eval_e_factor(field, t, x, xi, lam, mu: float, tau_star: float) -> float:
-    """e = e1/e2 with the two 16-node Gauss-Legendre integrals of the lemma:
-    e1 = int_0^1 P_t((1-s) tau* + s t, x, xi, mu) ds,
-    e2 = int_0^1 (1-s) P_lamlam(t, x, xi, (1-s) mu + s lam) ds.
-    """
-    e1 = 0.0
-    for s, w in zip(_GL01_NODES, _GL01_WEIGHTS):
-        ts = (1.0 - s) * tau_star + s * t
-        pt = float(np.real(npoly.polyval(mu, _dcoeffs_dt(field, ts, x, xi))))
-        e1 += w * pt
-    e2 = 0.0 + 0.0j
-    c2 = npoly.polyder(field.coeffs(t, x, xi), 2)
-    for s, w in zip(_GL01_NODES, _GL01_WEIGHTS):
-        lam_s = (1.0 - s) * mu + s * lam
-        e2 += w * (1.0 - s) * npoly.polyval(lam_s, c2)
-    if abs(e2) < 1e-12:
-        raise ValueError(f"degenerate quadratic part: |e2| = {abs(e2):.3e} < 1e-12")
-    e = e1 / e2
-    return float(np.real(e))
-
-
-def compute_branch_data(sys, phi, x, xi, lam_init) -> BranchData:
-    """Solve mu_star/tau_star from lam_init and freeze the e-factor at lambda = mu:
-    f0 = e(tau_star, x, xi, mu)."""
-    field = as_field(sys, phi)
-    tau = solve_tau_star(field, x, xi, lam_init=lam_init)
-    mu = solve_mu_star(field, tau, x, xi, lam_init)
-    f0 = eval_e_factor(field, tau, x, xi, mu, mu=mu, tau_star=tau)
-    resid = abs(float(np.real(npoly.polyval(mu, field.coeffs(tau, x, xi)))))
-    return BranchData(mu=mu, tau_star=tau, f0=f0, newton_residual=resid,
-                      negative_tau_flag=bool(tau < -10 * _NEWTON_TOL))
+    else:
+        raise NewtonError("tau_star Newton did not converge", abs(g))
+    negative_tau = bool(t < -10 * _NEWTON_TOL)
+    if negative_tau:
+        warnings.warn(f"tau_star = {t:.3e} < 0: hyperbolicity already violated at t = 0")
+    half_p_lamlam = 0.5 * float(np.real(npoly.polyval(mu, npoly.polyder(c, 2))))
+    if abs(half_p_lamlam) < 1e-12:
+        raise ValueError(f"degenerate quadratic part: |P_lamlam / 2| = {abs(half_p_lamlam):.3e} < 1e-12")
+    return BranchData(mu=mu, tau_star=t, f0=p_t / half_p_lamlam, newton_residual=abs(g),
+                      negative_tau_flag=negative_tau)
 
 
 def growth_rate(classification, branch: BranchData | None,

@@ -122,7 +122,7 @@ def check_semisimple_transition(field, omega0: CotangentPoint, tol: float = 1e-8
         x = x0 + o[:d]
         xi = xi0 + o[d:]
         try:
-            lam = solve_mu_star(field, 0.0, x, xi, lam0)
+            lam = solve_mu_star(field.coeffs(0.0, x, xi), lam0)
         except NewtonError as exc:
             raise IndeterminateSignal(f"root tracking failed on the ring: {exc}")
         if not conditions_at(x, xi, lam):

@@ -298,9 +298,9 @@ class _BaseField:
         t, step = 0.0, 1e-4
         x, xi, lam = omega.x, omega.xi, omega.lam
         c1, c2, c0, c_step = _richardson(lambda s: self.coeffs(s, x, xi), t, step)
-        # noise heuristic: coefficient increments below the roundoff floor
+        # noise heuristic: nonzero increments below the roundoff floor (0 is t-independence)
         incr = np.max(np.abs(c_step - c0))
-        noise = bool(incr < 1e3 * np.finfo(float).eps * max(1.0, np.max(np.abs(c0))))
+        noise = bool(0.0 < incr < 1e3 * np.finfo(float).eps * max(1.0, np.max(np.abs(c0))))
         return CharPolyJet(
             P=complex(npoly.polyval(lam, c0)),
             P_lam=complex(npoly.polyval(lam, npoly.polyder(c0))),

@@ -110,7 +110,7 @@ def test_branch_json_carries_f0_once(capsys):
     code, out, _ = run(["branch", "--example", "vdw", "--state", "witness"], capsys)
     assert code == EXIT_OK
     branch = json.loads(out)["branch"]
-    assert branch["f0"] == 0.9999999999995199
+    assert branch["f0"] == 0.9999999999995198
     assert "e0" not in branch and "newton_iters" not in branch
 
 

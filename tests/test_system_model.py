@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from hypflow.examples import burgers1d, kgz, van_der_waals
+from hypflow.classifier import classify
+from hypflow.examples import burgers1d, get_state, kgz, van_der_waals
 from hypflow.system_model import (CotangentPoint, Domain,
-                                  ReferenceSolution, TaylorExtendedSolution,
-                                  as_field, charpoly_coeffs,
-                                  eval_principal_symbol, spectrum)
+                                  ReferenceSolution, SymbolField,
+                                  TaylorExtendedSolution, as_field,
+                                  charpoly_coeffs, eval_principal_symbol,
+                                  spectrum)
 
 
 def _charpoly_at(a, lam):
@@ -154,6 +156,19 @@ def test_jet_vdw_trivial():
     jet = as_field(sysv, phi).jet(CotangentPoint([0.0], [1.0], 0.0))
     assert abs(jet.P_lam) < 1e-12
     assert abs(jet.P_lamlam - 2.0) < 1e-12
+
+
+def test_jet_noise_warning_only_on_nonzero_roundoff_increments():
+    # vdw elliptic: the coefficients do not depend on t, so their increments
+    # are exactly 0 and the t-derivatives exactly 0, not noise
+    b = get_state("vdw", "elliptic")
+    cl = classify(b.sys, b.phi, b.search_region)
+    assert cl.jet.noise_warning is False
+    assert cl.jet.P_t == 0.0 and cl.jet.P_tt == 0.0
+    # a t-dependence of 1e-10 moves the coefficients by 1e-14 at the step
+    # 1e-4, below the roundoff floor
+    field = SymbolField(lambda t, x, xi: np.array([[0.0, 1.0], [-(1.0 + 1e-10 * t), 0.0]]), 1, 2)
+    assert field.jet(CotangentPoint([0.0], [1.0], 0.0)).noise_warning is True
 
 
 def test_jet_burgers_second_order():
